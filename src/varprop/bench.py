@@ -87,9 +87,11 @@ def run_trials(
 ) -> TrialReport:
     """Run ``trials`` seeded label-sampling rounds of one method and aggregate.
 
-    Solver divergence or ill-posedness marks a trial failed; failed trials
-    are counted but excluded from the mean.  Dataset-level problems (too few
-    class members, nothing unlabeled to score) propagate immediately.
+    A trial fails when its solver diverges, finds the problem ill-posed, or
+    returns a result with ``converged=False``; failed trials are counted in
+    ``failures`` and left out of ``accuracies`` and the mean.  Dataset-level
+    problems (too few class members, nothing unlabeled to score) propagate
+    immediately.
     """
     if ds.graph is None:
         raise InvalidParameterError("dataset has no graph; attach one with with_knn_graph")
@@ -103,6 +105,8 @@ def run_trials(
         try:
             result = solve(ds.graph, label_set, cfg)
         except (DivergenceError, IllPosedError):
+            return None
+        if not result.converged:
             return None
         return accuracy_on_unlabeled(predict(result.u), ds.true_labels, label_set)
 

@@ -18,6 +18,9 @@ SolveResult whose ``u`` is the (n, k) label-score matrix.
                (L - lam * diag(q)) u = source under the zero-mean
                constraint (the constraint makes ubar vanish).
 
+Each method's system is assembled once, by ``_assemble``; ``solve`` runs
+one Jacobi-PCG on it and ``dense_oracle_solve`` factors it densely.
+
 The variance term is maximized, so both v_* systems lose positive
 definiteness once ``lam`` passes a graph-dependent stability bound; the
 solvers estimate that bound, warn near it, and raise DivergenceError when
@@ -25,7 +28,7 @@ the iteration actually breaks down.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -38,7 +41,7 @@ from .errors import (
     InvalidParameterError,
     OracleSizeError,
 )
-from .graph import Graph, LabelSet, laplacian_apply
+from .graph import Graph, LabelSet
 
 __all__ = [
     "METHODS",
@@ -58,7 +61,6 @@ METHODS = ("laplace", "poisson", "v_laplace", "v_poisson")
 
 _ORACLE_MAX_NODES = 500
 _DIVERGENCE_STREAK = 50
-_OUTER_CAP = 500
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Outcome of one solve.
+
+    ``u`` is the (n, k) score matrix.  ``iterations`` is the PCG iteration
+    count of the one linear system the method solves (0 for the trivial
+    cases and for ``dense_oracle_solve``).  ``final_residual`` is the
+    Frobenius norm of that system's residual relative to its right-hand
+    side.  ``converged`` is False when ``max_iter`` ran out first; ``u`` is
+    then the best iterate.
+    """
+
     u: np.ndarray
     iterations: int
     final_residual: float
@@ -235,41 +247,100 @@ def _warn_if_unstable(g: Graph, lam: float) -> None:
         )
 
 
-def _clamped_setup(g: Graph, labels: LabelSet):
+@dataclass(frozen=True)
+class _System:
+    """One method's linear system ``(A + lam c c^T) x = rhs``.
+
+    The clamped family (laplace, v_laplace) solves for the rows ``free``;
+    ``clamped`` holds the one-hot targets at labeled rows.  The poisson
+    family solves for all rows under the constraint ``q^T x = 0``: the
+    range side of the operator and every search direction are projected.
+    Only v_laplace has the rank-one mean coupling, ``c = q_u``.
+    """
+
+    A: sparse.csr_matrix
+    rhs: np.ndarray
+    lam: float
+    coupling: np.ndarray = None
+    free: np.ndarray = None
+    clamped: np.ndarray = None
+    q: np.ndarray = None
+
+    @property
+    def trivial(self) -> bool:
+        """No unknowns (every node labeled) or a zero right-hand side."""
+        return not self.rhs.any()
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        d = self.A.diagonal()
+        if self.coupling is not None:
+            d += self.lam * self.coupling**2
+        return d
+
+    def matvec(self, v):
+        Av = self.A @ v
+        if self.coupling is not None:
+            Av += self.lam * np.outer(self.coupling, self.coupling @ v)
+        if self.q is not None:
+            # remove the constraint-multiplier direction from the range side
+            Av -= self.q[:, None] * Av.sum(axis=0)
+        return Av
+
+    @property
+    def project(self):
+        if self.q is None:
+            return None
+        q = self.q
+        # keep iterates in the zero q-mean subspace
+        return lambda v: v - q @ v
+
+    def result(self, x, iterations, final_residual, converged) -> SolveResult:
+        u = x
+        if self.free is not None:
+            u = self.clamped.copy()
+            u[self.free] = x
+        return SolveResult(
+            u=u, iterations=iterations, final_residual=final_residual, converged=converged
+        )
+
+
+def _assemble(g: Graph, labels: LabelSet, cfg: SolverConfig) -> _System:
+    """Check the problem and build the system of ``cfg.method``.
+
+    Raises InvalidInputError for unknown labeled nodes and IllPosedError
+    when a clamped problem has an unlabeled component or a poisson-type
+    problem has a disconnected graph.  Warns when the poisson source
+    vanishes; the returned system is then trivial.
+    """
+    _check_labels(g, labels)
+    lam = cfg.lam if cfg.method in ("v_laplace", "v_poisson") else 0.0
+    q = g.degree_weights
     il = labels.nodes
     y = labels.onehot_matrix()
-    mask = np.ones(g.n, dtype=bool)
-    mask[il] = False
-    iu = np.flatnonzero(mask)
-    u = np.zeros((g.n, labels.k))
-    u[il] = y
-    return il, iu, y, u
 
+    if cfg.method in ("laplace", "v_laplace"):
+        _component_coverage(g, labels)
+        mask = np.ones(g.n, dtype=bool)
+        mask[il] = False
+        iu = np.flatnonzero(mask)
+        clamped = np.zeros((g.n, labels.k))
+        clamped[il] = y
+        Lu = g.laplacian_matrix()[iu]
+        A = Lu[:, iu]
+        rhs = -(Lu[:, il] @ y)
+        coupling = None
+        if lam > 0:
+            # L_uu u - lam q_u (u - ubar) = -L_ul y with ubar = q_u^T u + q_l^T y
+            # moves the mean into the operator as the coupling lam q_u q_u^T
+            coupling = q[iu]
+            A = (A - lam * sparse.diags(coupling)).tocsr()
+            rhs -= lam * np.outer(coupling, q[il] @ y)
+        return _System(A=A, rhs=rhs, lam=lam, coupling=coupling, free=iu, clamped=clamped)
 
-def laplace_solve(g: Graph, labels: LabelSet, cfg: SolverConfig = None) -> SolveResult:
-    """Harmonic interpolation with labeled nodes clamped to their one-hot targets."""
-    cfg = cfg or SolverConfig(method="laplace")
-    _check_labels(g, labels)
-    _component_coverage(g, labels)
-    il, iu, y, u = _clamped_setup(g, labels)
-    if iu.size == 0:
-        return SolveResult(u=u, iterations=0, final_residual=0.0, converged=True)
-    L = g.laplacian_matrix()
-    A = L[iu][:, iu].tocsr()
-    b = -(L[iu][:, il] @ y)
-    x, iters, rel, conv = _pcg(lambda v: A @ v, b, A.diagonal(), cfg.tol, cfg.max_iter)
-    u[iu] = x
-    return SolveResult(u=u, iterations=iters, final_residual=rel, converged=conv)
-
-
-def _poisson_family_solve(g: Graph, labels: LabelSet, cfg: SolverConfig, lam: float) -> SolveResult:
-    _check_labels(g, labels)
     _require_connected(g, "poisson-type learning")
-    il = labels.nodes
-    y = labels.onehot_matrix()
-    ybar = y.mean(axis=0)
     source = np.zeros((g.n, labels.k))
-    source[il] = y - ybar
+    source[il] = y - y.mean(axis=0)
     if not source.any():
         warnings.warn(
             "poisson source vanished (single labeled node or a single represented "
@@ -277,44 +348,61 @@ def _poisson_family_solve(g: Graph, labels: LabelSet, cfg: SolverConfig, lam: fl
             RuntimeWarning,
             stacklevel=3,
         )
-        return SolveResult(u=source, iterations=0, final_residual=0.0, converged=True)
-    q = g.degree_weights
-    qmask = q.copy()
-    if not cfg.variance_on_labeled:
-        qmask[il] = 0.0
-    L = g.laplacian_matrix()
+    A = g.laplacian_matrix()
     if lam > 0:
-        _warn_if_unstable(g, lam)
-        A = (L - lam * sparse.diags(qmask)).tocsr()
-    else:
-        A = L
-    diag = A.diagonal()
+        qmask = q.copy()
+        if not cfg.variance_on_labeled:
+            qmask[il] = 0.0
+        A = (A - lam * sparse.diags(qmask)).tocsr()
+    return _System(A=A, rhs=source, lam=lam, q=q)
+
+
+def solve(g: Graph, labels: LabelSet, cfg: SolverConfig) -> SolveResult:
+    """Run the solver selected by ``cfg.method``: one Jacobi-PCG solve of its system.
+
+    Checks run in this order: labeled nodes, component coverage or
+    connectivity, the trivial cases (every node labeled, vanished poisson
+    source), the near-instability warning for ``lam > 0``, and a
+    nonpositive Jacobi diagonal, which raises DivergenceError.
+    """
+    system = _assemble(g, labels, cfg)
+    if system.trivial:
+        return system.result(np.zeros_like(system.rhs), 0, 0.0, True)
+    if system.lam > 0:
+        _warn_if_unstable(g, system.lam)
+    diag = system.diagonal
     if diag.min() <= 0:
         raise DivergenceError(
-            f"variance weight lam={lam:g} drives the shifted diagonal nonpositive; "
+            f"variance weight lam={system.lam:g} drives the shifted diagonal nonpositive; "
             "it is past the stability bound"
         )
-
-    def project(v):
-        # keep iterates in the zero q-mean subspace
-        return v - q @ v
-
-    def matvec(v):
-        Av = A @ v
-        # remove the constraint-multiplier direction from the range side
-        return Av - q[:, None] * Av.sum(axis=0)
-
     x, iters, rel, conv = _pcg(
-        matvec, source, diag, cfg.tol, cfg.max_iter,
-        project=project, raise_divergence=lam > 0,
+        system.matvec, system.rhs, diag, cfg.tol, cfg.max_iter,
+        project=system.project, raise_divergence=system.lam > 0,
     )
-    return SolveResult(u=x, iterations=iters, final_residual=rel, converged=conv)
+    return system.result(x, iters, rel, conv)
+
+
+def laplace_solve(g: Graph, labels: LabelSet, cfg: SolverConfig = None) -> SolveResult:
+    """Harmonic interpolation with labeled nodes clamped to their one-hot targets."""
+    return solve(g, labels, replace(cfg or SolverConfig(), method="laplace"))
 
 
 def poisson_solve(g: Graph, labels: LabelSet, cfg: SolverConfig = None) -> SolveResult:
     """Source-term propagation: Lu = y_i - ybar at labeled nodes, zero-mean constrained."""
-    cfg = cfg or SolverConfig(method="poisson")
-    return _poisson_family_solve(g, labels, cfg, lam=0.0)
+    return solve(g, labels, replace(cfg or SolverConfig(), method="poisson"))
+
+
+def v_laplace_solve(g: Graph, labels: LabelSet, cfg: SolverConfig = None) -> SolveResult:
+    """Clamped propagation whose unlabeled stationarity is Lu_i = lam q_i (u_i - ubar).
+
+    Since ubar = q_u^T u_u + q_l^T y is linear in the unknowns, this is the
+    single system (L_uu - lam diag(q_u) + lam q_u q_u^T) u_u
+    = -L_ul y - lam q_u (q_l^T y), solved with one PCG whose matvec adds
+    the rank-one coupling to the sparse shifted block.  The operator is SPD
+    wherever L_uu - lam diag(q_u) is.
+    """
+    return solve(g, labels, replace(cfg or SolverConfig(), method="v_laplace"))
 
 
 def v_poisson_solve(g: Graph, labels: LabelSet, cfg: SolverConfig = None) -> SolveResult:
@@ -325,85 +413,7 @@ def v_poisson_solve(g: Graph, labels: LabelSet, cfg: SolverConfig = None) -> Sol
     ``cfg.variance_on_labeled=False`` the diagonal shift applies at
     unlabeled nodes only.
     """
-    cfg = cfg or SolverConfig(method="v_poisson")
-    return _poisson_family_solve(g, labels, cfg, lam=cfg.lam)
-
-
-def v_laplace_solve(g: Graph, labels: LabelSet, cfg: SolverConfig = None) -> SolveResult:
-    """Clamped propagation whose unlabeled stationarity is Lu_i = lam q_i (u_i - ubar).
-
-    Solved with an outer fixed point on the weighted mean: each outer step
-    re-solves the shifted clamped system at inner tolerance tol/10 and then
-    refreshes ubar from the new iterate.  Converges when the ubar update
-    and the full equation residual both drop below tol.
-    """
-    cfg = cfg or SolverConfig(method="v_laplace")
-    lam = cfg.lam
-    _check_labels(g, labels)
-    _component_coverage(g, labels)
-    il, iu, y, u = _clamped_setup(g, labels)
-    if iu.size == 0:
-        return SolveResult(u=u, iterations=0, final_residual=0.0, converged=True)
-    if lam > 0:
-        _warn_if_unstable(g, lam)
-    L = g.laplacian_matrix()
-    q = g.degree_weights
-    qu = q[iu]
-    A = (L[iu][:, iu] - lam * sparse.diags(qu)).tocsr()
-    diag = A.diagonal()
-    if diag.min() <= 0:
-        raise DivergenceError(
-            f"variance weight lam={lam:g} drives the shifted diagonal nonpositive; "
-            "it is past the stability bound"
-        )
-    b0 = -(L[iu][:, il] @ y)
-    scale = float(np.linalg.norm(b0))
-    ubar = q @ u
-    total_iters = 0
-    rel = np.inf
-    prev_delta = np.inf
-    streak = 0
-    converged = False
-    for _ in range(_OUTER_CAP):
-        rhs = b0 - lam * np.outer(qu, ubar)
-        x, it, _, inner_conv = _pcg(
-            lambda v: A @ v, rhs, diag, cfg.tol / 10, cfg.max_iter,
-            raise_divergence=lam > 0,
-        )
-        total_iters += it
-        u[iu] = x
-        new_ubar = q @ u
-        delta = float(np.linalg.norm(new_ubar - ubar))
-        ubar = new_ubar
-        resid = laplacian_apply(g, u)[iu] - lam * qu[:, None] * (u[iu] - ubar)
-        rel = float(np.linalg.norm(resid)) / scale
-        if delta <= cfg.tol and rel <= cfg.tol and inner_conv:
-            converged = True
-            break
-        if delta > prev_delta:
-            streak += 1
-            if streak >= _DIVERGENCE_STREAK:
-                raise DivergenceError(
-                    f"weighted-mean fixed point diverged for {streak} consecutive "
-                    f"outer steps; lam={lam:g} is past the stability bound"
-                )
-        else:
-            streak = 0
-        prev_delta = delta
-    return SolveResult(u=u, iterations=total_iters, final_residual=rel, converged=converged)
-
-
-_SOLVERS = {
-    "laplace": laplace_solve,
-    "poisson": poisson_solve,
-    "v_laplace": v_laplace_solve,
-    "v_poisson": v_poisson_solve,
-}
-
-
-def solve(g: Graph, labels: LabelSet, cfg: SolverConfig) -> SolveResult:
-    """Run the solver selected by ``cfg.method``."""
-    return _SOLVERS[cfg.method](g, labels, cfg)
+    return solve(g, labels, replace(cfg or SolverConfig(), method="v_poisson"))
 
 
 def predict(u) -> np.ndarray:
@@ -417,71 +427,37 @@ def predict(u) -> np.ndarray:
 def dense_oracle_solve(g: Graph, labels: LabelSet, cfg: SolverConfig) -> SolveResult:
     """Dense-factorization reference solver for tests and verification.
 
-    Solves the same linear systems as the iterative methods with
-    numpy.linalg.solve: the clamped harmonic system for laplace, the
-    mean-coupled clamped system (with the rank-one ubar coupling folded in
-    exactly) for v_laplace, and a bordered system that enforces the
-    zero-mean constraint for the poisson family.  Capped at 500 nodes.
+    Assembles the same system as ``solve`` and factors it with
+    numpy.linalg.solve: the sparse block densified plus the rank-one mean
+    coupling of v_laplace, bordered by the zero-mean constraint for the
+    poisson family.  ``final_residual`` is measured with the system's own
+    matvec.  It never warns about stability and never raises
+    DivergenceError; a singular system raises IllPosedError.  Capped at
+    500 nodes.
     """
     if g.n > _ORACLE_MAX_NODES:
         raise OracleSizeError(
             f"dense oracle is capped at {_ORACLE_MAX_NODES} nodes, got {g.n}"
         )
-    _check_labels(g, labels)
-    method = cfg.method
-    L = g.laplacian_matrix().toarray()
-    q = g.degree_weights
-    il = labels.nodes
-    y = labels.onehot_matrix()
-
-    if method in ("laplace", "v_laplace"):
-        _component_coverage(g, labels)
-        lam = cfg.lam if method == "v_laplace" else 0.0
-        _, iu, _, u = _clamped_setup(g, labels)
-        if iu.size == 0:
-            return SolveResult(u=u, iterations=0, final_residual=0.0, converged=True)
-        qu = q[iu]
-        ql = q[il]
-        M = L[np.ix_(iu, iu)] - lam * np.diag(qu) + lam * np.outer(qu, qu)
-        rhs = -L[np.ix_(iu, il)] @ y - lam * np.outer(qu, ql @ y)
-        try:
-            u[iu] = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise IllPosedError(f"clamped system is singular: {exc}") from exc
-        ubar = q @ u
-        resid = laplacian_apply(g, u)[iu] - lam * qu[:, None] * (u[iu] - ubar)
-        rel = float(np.linalg.norm(resid)) / float(np.linalg.norm(rhs))
-        return SolveResult(u=u, iterations=0, final_residual=rel, converged=True)
-
-    _require_connected(g, "poisson-type learning")
-    lam = cfg.lam if method == "v_poisson" else 0.0
-    ybar = y.mean(axis=0)
-    source = np.zeros((g.n, labels.k))
-    source[il] = y - ybar
-    if not source.any():
-        warnings.warn(
-            "poisson source vanished (single labeled node or a single represented "
-            "class); returning the zero solution",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return SolveResult(u=source, iterations=0, final_residual=0.0, converged=True)
-    qmask = q.copy()
-    if not cfg.variance_on_labeled:
-        qmask[il] = 0.0
-    A = L - lam * np.diag(qmask)
-    n = g.n
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = A
-    bordered[:n, n] = q
-    bordered[n, :n] = q
-    rhs = np.vstack([source, np.zeros((1, labels.k))])
+    system = _assemble(g, labels, cfg)
+    if system.trivial:
+        return system.result(np.zeros_like(system.rhs), 0, 0.0, True)
+    M = system.A.toarray()
+    rhs = system.rhs
+    if system.coupling is not None:
+        M += system.lam * np.outer(system.coupling, system.coupling)
+    if system.q is not None:
+        n = M.shape[0]
+        bordered = np.zeros((n + 1, n + 1))
+        bordered[:n, :n] = M
+        bordered[:n, n] = system.q
+        bordered[n, :n] = system.q
+        M = bordered
+        rhs = np.vstack([rhs, np.zeros((1, rhs.shape[1]))])
     try:
-        full = np.linalg.solve(bordered, rhs)
+        x = np.linalg.solve(M, rhs)[: system.rhs.shape[0]]
     except np.linalg.LinAlgError as exc:
-        raise IllPosedError(f"constrained system is singular: {exc}") from exc
-    u = full[:n]
-    raw = source - A @ u
-    resid = raw - q[:, None] * raw.sum(axis=0)
-    rel = float(np.linalg.norm(resid)) / float(np.linalg.norm(source))
-    return SolveResult(u=u, iterations=0, final_residual=rel, converged=True)
+        raise IllPosedError(f"{cfg.method} system is singular: {exc}") from exc
+    resid = system.rhs - system.matvec(x)
+    rel = float(np.linalg.norm(resid)) / float(np.linalg.norm(system.rhs))
+    return system.result(x, 0, rel, True)

@@ -102,6 +102,14 @@ class TestRunTrials:
         assert report.mean is None and report.std is None
         assert len(report.seeds) == 4
 
+    def test_nonconverged_trials_are_failures(self):
+        ds = bridged_cliques()
+        cfg = SolverConfig(max_iter=1)
+        report = run_trials(ds, "laplace", 1, trials=4, base_seed=0, cfg=cfg, workers=1)
+        assert report.failures == 4
+        assert report.accuracies == ()
+        assert report.mean is None and report.std is None
+
     def test_graphless_dataset_rejected(self):
         ds = Dataset(name="x", k=2, true_labels=np.array([0, 1]), features=np.zeros((2, 2)))
         with pytest.raises(InvalidParameterError, match="graph"):

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,18 +248,22 @@ class TestVerifyPde:
         assert "FAIL: sinusoid correlation" in capsys.readouterr().out
 
 
+def run_module(*args):
+    """Run ``python -m varprop`` with this checkout's ``src`` importable."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run(
+        [sys.executable, "-m", "varprop", *args], capture_output=True, text=True, env=env
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "varprop", "verify-pde", "--lambda", "4", "--grid", "32"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("verify-pde", "--lambda", "4", "--grid", "32")
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
 
     def test_no_subcommand_is_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "varprop"], capture_output=True, text=True
-        )
+        proc = run_module()
         assert proc.returncode == 2
