@@ -126,7 +126,28 @@ class Dataset:
 
 
 def read_feature_csv(path) -> np.ndarray:
-    """Parse a headerless CSV of floats; FormatError messages carry line numbers."""
+    """Parse a headerless CSV of floats into an (n, d) float64 matrix.
+
+    Every row must have the same number of comma-separated fields, each a
+    finite float; blank and whitespace-only lines are skipped.  A ragged
+    row, a non-numeric or non-finite field, or a file without data rows
+    raises FormatError, with the 1-based line number (blank lines counted)
+    where a line is at fault.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            X = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        pass
+    else:
+        if X.size and np.isfinite(X).all():
+            return X
+    # the line-by-line parse names the faulty line, and accepts whitespace-only lines
+    return _read_feature_lines(path)
+
+
+def _read_feature_lines(path) -> np.ndarray:
     rows = []
     width = None
     with open(path) as fh:

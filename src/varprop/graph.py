@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 
 from .errors import FormatError, InvalidInputError, InvalidParameterError
 
@@ -203,6 +202,12 @@ def build_knn_graph(features, k_neighbors) -> Graph:
     sigma over all nodes, or 1 if every sigma vanishes.  The result is
     symmetrized with max(w_ij, w_ji), so every directed k-NN edge survives.
 
+    The neighbor search is exact and deterministic: among equidistant
+    candidates the lower index wins, so duplicate points always give the
+    same graph.  It does O(n^2 d) work in blocks of rows; the temporaries
+    of one block fit a fixed budget of a few megabytes, or one row (about
+    16 n bytes) when n is larger.
+
     Parameters
     ----------
     features : (n, d) array
@@ -226,16 +231,8 @@ def build_knn_graph(features, k_neighbors) -> Graph:
             f"k_neighbors must satisfy 1 <= k < n, got k={k_neighbors} with n={n}"
         )
 
-    dist, idx = cKDTree(X).query(X, k=k + 1)
+    nbr, nbr_dist = _nearest(X, k)
     rows = np.arange(n)
-    # drop the self match per row; with duplicate points it need not come first
-    self_pos = np.argmax(idx == rows[:, None], axis=1)
-    found = idx[rows, self_pos] == rows
-    self_pos = np.where(found, self_pos, k)
-    keep = np.ones((n, k + 1), dtype=bool)
-    keep[rows, self_pos] = False
-    nbr = idx[keep].reshape(n, k)
-    nbr_dist = dist[keep].reshape(n, k)
 
     sigma = nbr_dist[:, -1].copy()
     if np.any(sigma == 0):
@@ -248,6 +245,69 @@ def build_knn_graph(features, k_neighbors) -> Graph:
     ).tocsr()
     W = W.maximum(W.T)
     return _finalize(n, W)
+
+
+# Bytes for the temporaries of one block of rows in _nearest: the GEMM
+# distances, their argpartition indices and the exact-distance gather.
+_KNN_BLOCK_BYTES = 4 << 20
+# Spare candidates beyond k, so GEMM rounding near the k-th distance rarely
+# forces an exact re-search of the row.
+_KNN_SPARE = 4
+
+
+def _nearest(X, k):
+    """Exact k nearest neighbors of every row of ``X``, self excluded.
+
+    Returns ``(indices, distances)``, both (n, k) and ordered by
+    (distance, index), so ties go to the lower index.  Row blocks pick
+    candidates by the GEMM form |x_i|^2 - 2 x_i.x_j + |x_j|^2 and recompute
+    their distances term by term, because the GEMM form cancels.  A row
+    whose first excluded candidate lies within the GEMM rounding bound of
+    its k-th distance (ties, duplicates, large offsets) is searched again
+    exactly over all points.
+    """
+    n, d = X.shape
+    pool = min(n - 1, k + _KNN_SPARE)
+    sq = np.einsum("ij,ij->i", X, X)
+    norms = np.sqrt(sq)
+    # |GEMM form - exact| <= (d + 4) eps (|x_i| + |x_j|)^2 for every j
+    slack = (d + 4) * np.finfo(np.float64).eps * (norms + norms.max()) ** 2
+    block = max(1, _KNN_BLOCK_BYTES // (16 * n + 8 * pool * d))
+    gram = np.empty((min(block, n), n))
+    idx = np.empty((n, k), dtype=np.int64)
+    dist = np.empty((n, k))
+    for lo in range(0, n, block):
+        rows = np.arange(lo, min(lo + block, n))
+        D = gram[: rows.size]
+        np.matmul(-2.0 * X[lo : lo + rows.size], X.T, out=D)
+        D += sq
+        D += sq[rows, None]
+        D[np.arange(rows.size), rows] = np.inf
+        part = np.argpartition(D, pool, axis=1)
+        edge = np.take_along_axis(D, part[:, pool : pool + 1], axis=1)[:, 0]
+        cand = part[:, :pool]
+        cand_dist = np.sqrt(_squared_distances(X, rows, cand))
+        order = np.lexsort((cand, cand_dist))[:, :k]
+        idx[rows] = np.take_along_axis(cand, order, axis=1)
+        dist[rows] = np.take_along_axis(cand_dist, order, axis=1)
+        # negated so that a NaN bound (overflowing features) also re-searches
+        for i in rows[~(edge - slack[rows] > dist[rows, -1] ** 2)]:
+            others = np.delete(np.arange(n), i)
+            exact = np.sqrt(_squared_distances(X, np.array([i]), others[None, :])[0])
+            best = np.lexsort((others, exact))[:k]
+            idx[i], dist[i] = others[best], exact[best]
+    return idx, dist
+
+
+def _squared_distances(X, rows, cols):
+    """|x_rows[r] - x_cols[r, c]|^2 summed term by term, within the block budget."""
+    out = np.empty(cols.shape)
+    step = max(1, _KNN_BLOCK_BYTES // (8 * X.shape[1] * rows.size))
+    for s in range(0, cols.shape[1], step):
+        diff = X[cols[:, s : s + step]]
+        diff -= X[rows, None, :]
+        out[:, s : s + step] = np.einsum("rcd,rcd->rc", diff, diff)
+    return out
 
 
 def _label_matrix(g: Graph, u):

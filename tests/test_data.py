@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from varprop import (
 )
 from varprop.data import (
     derive_trial_seed,
+    read_feature_csv,
     read_labeled_nodes,
     write_feature_csv,
     write_label_file,
@@ -89,6 +92,37 @@ class TestFeatureLoading:
         (tmp_path / "l.txt").write_text("0\n1\n")
         with pytest.raises(FormatError, match="line 2"):
             load_feature_dataset(f, tmp_path / "l.txt")
+
+    def test_whitespace_only_line_skipped(self, tmp_path):
+        f = tmp_path / "f.csv"
+        f.write_text("0.5,1.0\n   \n2.0,3.0\n")
+        np.testing.assert_array_equal(read_feature_csv(f), [[0.5, 1.0], [2.0, 3.0]])
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [("1,2\n\n3\n", "line 3"), ("1,2\ninf,3\n", "line 2"), ("1,2\n3,4,\n", "line 2")],
+    )
+    def test_error_line_counts_every_line(self, tmp_path, text, line):
+        f = tmp_path / "f.csv"
+        f.write_text(text)
+        with pytest.raises(FormatError, match=line):
+            read_feature_csv(f)
+
+    def test_empty_file_rejected_without_warning(self, tmp_path):
+        f = tmp_path / "f.csv"
+        f.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="no data rows"):
+                read_feature_csv(f)
+
+    def test_written_file_reads_back_bitwise(self, tmp_path):
+        rng = np.random.Generator(np.random.Philox(3))
+        X = rng.normal(size=(50, 7)) * 10.0 ** rng.integers(-8, 8, size=(50, 7))
+        write_feature_csv(tmp_path / "f.csv", X)
+        Y = read_feature_csv(tmp_path / "f.csv")
+        assert Y.dtype == np.float64 and Y.shape == X.shape
+        assert np.array_equal(Y.view(np.int64), X.view(np.int64))
 
 
 class TestGraphLoading:

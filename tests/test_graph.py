@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.spatial import cKDTree
 
 from helpers import brute_force_knn_weights, brute_force_objective, random_connected_graph
 from varprop import (
@@ -46,6 +48,35 @@ class TestKnnConstruction:
         g = build_knn_graph(X, k)
         expected = brute_force_knn_weights(X, k)
         np.testing.assert_allclose(g.adjacency.toarray(), expected, atol=1e-14)
+
+    @pytest.mark.parametrize("groups,copies,k", [(6, 5, 3), (6, 5, 6), (4, 8, 5), (1, 12, 5)])
+    def test_ties_go_to_lower_index(self, groups, copies, k):
+        rng = np.random.Generator(np.random.Philox(groups * 100 + copies * 10 + k))
+        X = np.repeat(rng.normal(size=(groups, 3)), copies, axis=0)
+        X = X[rng.permutation(X.shape[0])]
+        g = build_knn_graph(X, k)
+        np.testing.assert_allclose(g.adjacency.toarray(), brute_force_knn_weights(X, k), atol=1e-14)
+
+    def test_large_offset_does_not_cancel(self):
+        # |x|^2 - 2 x.y + |y|^2 loses every digit of these distances
+        rng = np.random.Generator(np.random.Philox(7))
+        X = 1e3 + 1e-6 * rng.normal(size=(200, 8))
+        g = build_knn_graph(X, 5)
+        np.testing.assert_allclose(g.adjacency.toarray(), brute_force_knn_weights(X, 5), atol=1e-14)
+
+    def test_multi_block_pattern_matches_kd_tree(self):
+        rng = np.random.Generator(np.random.Philox(11))
+        X = rng.normal(size=(3000, 16))
+        g = build_knn_graph(X, 10)
+        _, idx = cKDTree(X).query(X, k=11)
+        assert np.array_equal(idx[:, 0], np.arange(3000))
+        directed = sparse.coo_matrix(
+            (np.ones(30000), (np.repeat(np.arange(3000), 10), idx[:, 1:].ravel())), shape=(3000, 3000)
+        ).tocsr()
+        expected = (directed + directed.T).tocsr()
+        expected.sort_indices()
+        assert np.array_equal(g.adjacency.indptr, expected.indptr)
+        assert np.array_equal(g.adjacency.indices, expected.indices)
 
     def test_k_too_large_rejected(self):
         with pytest.raises(InvalidParameterError):
