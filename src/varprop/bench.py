@@ -3,13 +3,10 @@
 A trial draws a per-class label split, runs one solver, and scores
 accuracy over the unlabeled nodes only (scoring clamped labeled nodes
 would inflate the clamping methods).  Trial seeds derive from
-(base_seed, trial index), so reports are independent of execution order
-and of the worker count.
+(base_seed, trial index), so reports are independent of execution order.
 """
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,17 +62,6 @@ def accuracy_on_unlabeled(predicted, true_labels, labels: LabelSet) -> float:
     return float(np.mean(predicted[mask] == true_labels[mask]))
 
 
-def _default_workers() -> int:
-    env = os.environ.get("VPL_THREADS", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise InvalidParameterError(f"VPL_THREADS must be an integer, got {env!r}") from None
-        return max(1, value)
-    return os.cpu_count() or 1
-
-
 def run_trials(
     ds: Dataset,
     method: str,
@@ -83,7 +69,6 @@ def run_trials(
     trials: int,
     base_seed: int,
     cfg: SolverConfig = None,
-    workers: int = None,
 ) -> TrialReport:
     """Run ``trials`` seeded label-sampling rounds of one method and aggregate.
 
@@ -92,6 +77,11 @@ def run_trials(
     ``failures`` and left out of ``accuracies`` and the mean.  Dataset-level
     problems (too few class members, nothing unlabeled to score) propagate
     immediately.
+
+    Trials run one after another in the calling thread.  A thread pool over
+    trials competed with the BLAS threads inside each solve for the cores:
+    on 2 cores it was slower than this loop, and used more memory, on every
+    benchmark sweep measured.
     """
     if ds.graph is None:
         raise InvalidParameterError("dataset has no graph; attach one with with_knn_graph")
@@ -100,31 +90,22 @@ def run_trials(
     cfg = replace(cfg or SolverConfig(), method=method)
     seeds = tuple(derive_trial_seed(base_seed, t) for t in range(trials))
 
-    def one(t):
-        label_set = sample_label_set(ds, labels_per_class, seeds[t])
+    accuracies = []
+    for seed in seeds:
+        label_set = sample_label_set(ds, labels_per_class, seed)
         try:
             result = solve(ds.graph, label_set, cfg)
         except (DivergenceError, IllPosedError):
-            return None
-        if not result.converged:
-            return None
-        return accuracy_on_unlabeled(predict(result.u), ds.true_labels, label_set)
-
-    nworkers = workers if workers is not None else _default_workers()
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            outcomes = list(pool.map(one, range(trials)))
-    else:
-        outcomes = [one(t) for t in range(trials)]
-
-    accuracies = tuple(a for a in outcomes if a is not None)
+            continue
+        if result.converged:
+            accuracies.append(accuracy_on_unlabeled(predict(result.u), ds.true_labels, label_set))
     mean, std = _summarize(accuracies)
     return TrialReport(
         dataset=ds.name,
         method=method,
         labels_per_class=labels_per_class,
         trials=trials,
-        accuracies=accuracies,
+        accuracies=tuple(accuracies),
         failures=trials - len(accuracies),
         seeds=seeds,
         mean=mean,
