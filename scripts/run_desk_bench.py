@@ -58,8 +58,11 @@ def main():
                 t1 = time.perf_counter()
                 report = run_trials(ds, method, m, trials, args.seed, cfg)
                 reports.append(report)
-                print(f"  {method:<10s} m={m} mean={100 * report.mean:.1f}% "
-                      f"std={100 * report.std:.1f} failures={report.failures} "
+                if report.mean is None:
+                    summary = "failed"
+                else:
+                    summary = f"mean={100 * report.mean:.1f}% std={100 * report.std:.1f}"
+                print(f"  {method:<10s} m={m} {summary} failures={report.failures} "
                       f"({time.perf_counter() - t1:.1f}s)")
 
     print()

@@ -36,25 +36,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ContinuumConfig:
-    """Grid size and equation weight for the 1-D checks.
-
-    Only the uniform density on [0, 1] is implemented.
-    """
+    """Grid size and equation weight for the 1-D checks, which sample the
+    uniform density on [0, 1]."""
 
     n_grid: int
     lam: float
-    interval: tuple = (0.0, 1.0)
-    density: str = "uniform"
 
     def __post_init__(self):
         if self.n_grid < 16:
             raise InvalidParameterError("n_grid must be >= 16")
         if self.lam <= 0:
             raise InvalidParameterError("lam must be > 0")
-        if tuple(self.interval) != (0.0, 1.0):
-            raise InvalidParameterError("only the unit interval [0, 1] is implemented")
-        if self.density != "uniform":
-            raise InvalidParameterError("only the uniform density is implemented")
 
 
 @dataclass(frozen=True)

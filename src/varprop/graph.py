@@ -357,7 +357,7 @@ def objective_value(g: Graph, u, lam: float) -> float:
     if lam < 0:
         raise InvalidParameterError("lam must be >= 0")
     mat, _ = _label_matrix(g, u)
-    smooth = float(np.sum(mat * (g.degrees[:, None] * mat - g.adjacency @ mat)))
+    smooth = float(np.sum(mat * laplacian_apply(g, mat)))
     return smooth - float(lam) * variance(g, mat)
 
 

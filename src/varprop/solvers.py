@@ -60,7 +60,6 @@ __all__ = [
 METHODS = ("laplace", "poisson", "v_laplace", "v_poisson")
 
 _ORACLE_MAX_NODES = 500
-_DIVERGENCE_STREAK = 50
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ class SolveResult:
     cases and for ``dense_oracle_solve``).  ``final_residual`` is the
     Frobenius norm of that system's residual relative to its right-hand
     side.  ``converged`` is False when ``max_iter`` ran out first; ``u`` is
-    then the best iterate.
+    then the last iterate, the one ``final_residual`` describes.
     """
 
     u: np.ndarray
@@ -116,33 +115,18 @@ def _check_labels(g: Graph, labels: LabelSet) -> None:
         )
 
 
-def _component_coverage(g: Graph, labels: LabelSet) -> None:
-    ncomp, comp = csgraph.connected_components(g.adjacency, directed=False)
-    covered = np.unique(comp[labels.nodes])
-    if covered.size != ncomp:
-        missing = ncomp - covered.size
-        raise IllPosedError(
-            f"{missing} connected component(s) contain no labeled node; "
-            "propagation cannot reach them"
-        )
-
-
-def _require_connected(g: Graph, what: str) -> None:
-    ncomp, _ = csgraph.connected_components(g.adjacency, directed=False)
-    if ncomp != 1:
-        raise IllPosedError(f"{what} requires a connected graph, found {ncomp} components")
-
-
-def _pcg(matvec, b, diag, tol, max_iter, project=None, raise_divergence=False):
+def _pcg(matvec, b, diag, tol, max_iter, project=None):
     """Jacobi-preconditioned conjugate gradients on the columns of ``b``.
 
     Returns ``(x, iterations, relative_residual, converged)`` with the
     residual measured in the Frobenius norm relative to ``|b|``.  When
     ``project`` is given it is applied to every preconditioned direction so
-    the iterates stay inside the constraint subspace.  With
-    ``raise_divergence`` the solver raises DivergenceError on negative
-    curvature or on 50 consecutive residual increases; otherwise it returns
-    its best iterate with ``converged=False``.
+    the iterates stay inside the constraint subspace.  There are three
+    exits: convergence returns the current iterate; running out of
+    ``max_iter`` returns the last iterate with ``converged=False``; a
+    direction of negative curvature raises DivergenceError.  Returning the
+    last iterate is sound: each CG iterate minimizes the A-norm error over
+    its Krylov space.
     """
     bnorm = float(np.linalg.norm(b))
     x = np.zeros_like(b)
@@ -154,41 +138,21 @@ def _pcg(matvec, b, diag, tol, max_iter, project=None, raise_divergence=False):
         z = project(z)
     p = z.copy()
     rz = np.einsum("ij,ij->j", r, z)
-    best_x = x.copy()
-    best_rel = 1.0
-    prev_rel = 1.0
-    streak = 0
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         Ap = matvec(p)
         pAp = np.einsum("ij,ij->j", p, Ap)
         scale = np.einsum("ij,ij->j", np.abs(p), np.abs(Ap))
         if np.any(pAp < -1e-10 * scale):
-            if raise_divergence:
-                raise DivergenceError(
-                    "negative curvature encountered: the variance weight exceeds "
-                    "the stability bound of this graph"
-                )
-            break
+            raise DivergenceError(
+                "negative curvature encountered: the operator is not positive definite "
+                "(for v_laplace and v_poisson, lam is past the stability bound)"
+            )
         alpha = np.divide(rz, pAp, out=np.zeros_like(rz), where=pAp > 0)
         x += alpha * p
         r -= alpha * Ap
         rel = float(np.linalg.norm(r)) / bnorm
-        if rel < best_rel:
-            best_rel = rel
-            best_x = x.copy()
         if rel <= tol:
             return x, iterations, rel, True
-        if rel > prev_rel:
-            streak += 1
-            if streak >= _DIVERGENCE_STREAK and raise_divergence:
-                raise DivergenceError(
-                    f"residual grew for {streak} consecutive iterations; the "
-                    "variance weight is past the stability bound"
-                )
-        else:
-            streak = 0
-        prev_rel = rel
         z = r / diag[:, None]
         if project is not None:
             z = project(z)
@@ -196,7 +160,7 @@ def _pcg(matvec, b, diag, tol, max_iter, project=None, raise_divergence=False):
         beta = np.divide(rz_new, rz, out=np.zeros_like(rz), where=np.abs(rz) > 0)
         p = z + beta * p
         rz = rz_new
-    return best_x, iterations, best_rel, False
+    return x, max_iter, rel, False
 
 
 def estimate_stability_limit(g: Graph) -> float:
@@ -314,13 +278,19 @@ def _assemble(g: Graph, labels: LabelSet, cfg: SolverConfig) -> _System:
     vanishes; the returned system is then trivial.
     """
     _check_labels(g, labels)
+    ncomp, comp = csgraph.connected_components(g.adjacency, directed=False)
     lam = cfg.lam if cfg.method in ("v_laplace", "v_poisson") else 0.0
     q = g.degree_weights
     il = labels.nodes
     y = labels.onehot_matrix()
 
     if cfg.method in ("laplace", "v_laplace"):
-        _component_coverage(g, labels)
+        missing = ncomp - np.unique(comp[il]).size
+        if missing:
+            raise IllPosedError(
+                f"{missing} connected component(s) contain no labeled node; "
+                "propagation cannot reach them"
+            )
         mask = np.ones(g.n, dtype=bool)
         mask[il] = False
         iu = np.flatnonzero(mask)
@@ -338,7 +308,10 @@ def _assemble(g: Graph, labels: LabelSet, cfg: SolverConfig) -> _System:
             rhs -= lam * np.outer(coupling, q[il] @ y)
         return _System(A=A, rhs=rhs, lam=lam, coupling=coupling, free=iu, clamped=clamped)
 
-    _require_connected(g, "poisson-type learning")
+    if ncomp != 1:
+        raise IllPosedError(
+            f"poisson-type learning requires a connected graph, found {ncomp} components"
+        )
     source = np.zeros((g.n, labels.k))
     source[il] = y - y.mean(axis=0)
     if not source.any():
@@ -377,8 +350,7 @@ def solve(g: Graph, labels: LabelSet, cfg: SolverConfig) -> SolveResult:
             "it is past the stability bound"
         )
     x, iters, rel, conv = _pcg(
-        system.matvec, system.rhs, diag, cfg.tol, cfg.max_iter,
-        project=system.project, raise_divergence=system.lam > 0,
+        system.matvec, system.rhs, diag, cfg.tol, cfg.max_iter, project=system.project
     )
     return system.result(x, iters, rel, conv)
 

@@ -22,10 +22,6 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             ContinuumConfig(n_grid=64, lam=0.0)
 
-    def test_only_unit_interval(self):
-        with pytest.raises(InvalidParameterError):
-            ContinuumConfig(n_grid=64, lam=1.0, interval=(0.0, 2.0))
-
 
 class TestSecondDifference:
     def test_annihilates_affine_functions(self):

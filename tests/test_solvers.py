@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import cg as sparse_cg
 
 from helpers import random_connected_graph, random_label_set
 from varprop import (
@@ -84,14 +86,6 @@ class TestLaplace:
         np.testing.assert_allclose(res.u[1], [1.0, 0.0], atol=1e-9)
         np.testing.assert_allclose(res.u[3], [0.0, 1.0], atol=1e-9)
 
-    def test_nonconvergence_returns_best_iterate(self):
-        g = random_connected_graph(1, 40)
-        ls = random_label_set(1, 40, 2, 1)
-        res = laplace_solve(g, ls, SolverConfig(method="laplace", max_iter=1))
-        assert not res.converged
-        assert res.final_residual > 1e-8
-        assert np.all(np.isfinite(res.u))
-
     def test_unknown_labeled_node_rejected(self):
         with pytest.raises(InvalidInputError):
             laplace_solve(path_graph(3), LabelSet(k=2, entries=((7, 0),)))
@@ -107,6 +101,59 @@ class TestLaplace:
             lo, hi = y[:, c].min(), y[:, c].max()
             assert res.u[unlabeled, c].min() >= lo - 1e-8
             assert res.u[unlabeled, c].max() <= hi + 1e-8
+
+
+class TestNonConvergence:
+    """At the iteration cap the result is the last iterate: ``u``,
+    ``iterations`` and ``final_residual`` all describe iteration max_iter."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        # laplace's residual rises at iteration 3 on this problem
+        return random_connected_graph(1, 40), random_label_set(1, 40, 2, 1)
+
+    def residual(self, g, ls, cfg, u):
+        """Relative residual of ``u`` in ``cfg.method``'s system, from laplacian_apply."""
+        y = ls.onehot_matrix()
+        Lu = laplacian_apply(g, u)
+        if cfg.method == "laplace":
+            # rhs - L_uu u_u with rhs = -L_ul y is -(Lu) at the unlabeled rows
+            unlabeled = np.setdiff1d(np.arange(g.n), ls.nodes)
+            clamped = np.zeros_like(u)
+            clamped[ls.nodes] = y
+            rhs = -laplacian_apply(g, clamped)[unlabeled]
+            return np.linalg.norm(Lu[unlabeled]) / np.linalg.norm(rhs)
+        lam = cfg.lam if cfg.method == "v_poisson" else 0.0
+        q = g.degree_weights[:, None]
+        source = np.zeros_like(u)
+        source[ls.nodes] = y - y.mean(axis=0)
+        Au = Lu - lam * q * u
+        Au -= q * Au.sum(axis=0)
+        return np.linalg.norm(source - Au) / np.linalg.norm(source)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 5])
+    @pytest.mark.parametrize("method", ["laplace", "poisson", "v_poisson"])
+    def test_result_is_the_last_iterate(self, problem, method, max_iter):
+        g, ls = problem
+        cfg = SolverConfig(method=method, max_iter=max_iter)
+        res = solve(g, ls, cfg)
+        assert not res.converged
+        assert res.iterations == max_iter
+        recomputed = self.residual(g, ls, cfg, res.u)
+        np.testing.assert_allclose(res.final_residual, recomputed, rtol=1e-6)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 5])
+    def test_laplace_iterate_matches_reference_cg(self, problem, max_iter):
+        g, ls = problem
+        res = laplace_solve(g, ls, SolverConfig(method="laplace", max_iter=max_iter))
+        unlabeled = np.setdiff1d(np.arange(g.n), ls.nodes)
+        L = g.laplacian_matrix()
+        A = L[unlabeled][:, unlabeled]
+        rhs = -(L[unlabeled][:, ls.nodes] @ ls.onehot_matrix())
+        jacobi = sparse.diags(1.0 / A.diagonal())
+        for c in range(ls.k):
+            ref, _ = sparse_cg(A, rhs[:, c], rtol=0.0, atol=0.0, maxiter=max_iter, M=jacobi)
+            np.testing.assert_allclose(res.u[unlabeled, c], ref, rtol=1e-10, atol=1e-12)
 
 
 class TestPoisson:
