@@ -3,7 +3,8 @@
 
 Generates the synthetic pixel dataset, builds a k-NN graph once, runs
 seeded trials for every (method, labels-per-class) cell, and prints the
-accuracy table.  With --full the trial count rises to 100 per cell.
+accuracy table.  Pass --trials 100 for the full sweep.  Stability
+warnings from the solvers are printed to stderr.
 At one label per class the clamped harmonic method collapses toward a
 constant while the source-term methods stay informative; the printed
 table shows that gap directly.
@@ -12,7 +13,6 @@ table shows that gap directly.
 import argparse
 import json
 import time
-import warnings
 
 from varprop import (
     Dataset,
@@ -33,13 +33,11 @@ def main():
     parser.add_argument("--knn-k", type=int, default=10)
     parser.add_argument("--labels-per-class", default="1,2,3,4,5")
     parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--full", action="store_true", help="run 100 trials per cell")
     parser.add_argument("--lambda", dest="lam", type=float, default=0.1)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--out", help="optional JSON report path")
     args = parser.parse_args()
 
-    trials = 100 if args.full else args.trials
     m_values = [int(v) for v in args.labels_per_class.split(",")]
 
     t0 = time.perf_counter()
@@ -51,19 +49,17 @@ def main():
 
     cfg = SolverConfig(lam=args.lam)
     reports = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for method in METHODS:
-            for m in m_values:
-                t1 = time.perf_counter()
-                report = run_trials(ds, method, m, trials, args.seed, cfg)
-                reports.append(report)
-                if report.mean is None:
-                    summary = "failed"
-                else:
-                    summary = f"mean={100 * report.mean:.1f}% std={100 * report.std:.1f}"
-                print(f"  {method:<10s} m={m} {summary} failures={report.failures} "
-                      f"({time.perf_counter() - t1:.1f}s)")
+    for method in METHODS:
+        for m in m_values:
+            t1 = time.perf_counter()
+            report = run_trials(ds, method, m, args.trials, args.seed, cfg)
+            reports.append(report)
+            if report.mean is None:
+                summary = "failed"
+            else:
+                summary = f"mean={100 * report.mean:.1f}% std={100 * report.std:.1f}"
+            print(f"  {method:<10s} m={m} {summary} failures={report.failures} "
+                  f"({time.perf_counter() - t1:.1f}s)")
 
     print()
     print(emit_table(reports, "text"))

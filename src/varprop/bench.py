@@ -27,7 +27,6 @@ __all__ = [
     "run_trials",
     "emit_table",
     "report_to_dict",
-    "report_from_dict",
 ]
 
 
@@ -125,20 +124,6 @@ def report_to_dict(report: TrialReport) -> dict:
         "failures": report.failures,
         "seeds": list(report.seeds),
     }
-
-
-def report_from_dict(doc: dict) -> TrialReport:
-    return TrialReport(
-        dataset=doc["dataset"],
-        method=doc["method"],
-        labels_per_class=int(doc["labels_per_class"]),
-        trials=int(doc["trials"]),
-        accuracies=tuple(doc["accuracies"]),
-        failures=int(doc["failures"]),
-        seeds=tuple(doc["seeds"]),
-        mean=doc["mean"],
-        std=doc["std"],
-    )
 
 
 def _cell(report: TrialReport) -> str:

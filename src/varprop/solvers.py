@@ -22,9 +22,10 @@ Each method's system is assembled once, by ``_assemble``; ``solve`` runs
 one Jacobi-PCG on it and ``dense_oracle_solve`` factors it densely.
 
 The variance term is maximized, so both v_* systems lose positive
-definiteness once ``lam`` passes a graph-dependent stability bound; the
-solvers estimate that bound, warn near it, and raise DivergenceError when
-the iteration actually breaks down.
+definiteness once ``lam`` passes a graph-dependent stability bound.  For
+the poisson family ``solve`` reads that bound from the coefficients of its
+own PCG and warns, after the iteration, when ``lam`` is within 10% of it;
+v_laplace gets no such warning.  Breakdown raises DivergenceError.
 """
 
 import warnings
@@ -32,6 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse import csgraph
 
 from .errors import (
@@ -108,30 +110,25 @@ class SolveResult:
     converged: bool
 
 
-def _check_labels(g: Graph, labels: LabelSet) -> None:
-    if labels.nodes.max() >= g.n:
-        raise InvalidInputError(
-            f"labeled node {labels.nodes.max()} does not exist in a {g.n}-node graph"
-        )
-
-
 def _pcg(matvec, b, diag, tol, max_iter, project=None):
     """Jacobi-preconditioned conjugate gradients on the columns of ``b``.
 
-    Returns ``(x, iterations, relative_residual, converged)`` with the
-    residual measured in the Frobenius norm relative to ``|b|``.  When
-    ``project`` is given it is applied to every preconditioned direction so
-    the iterates stay inside the constraint subspace.  There are three
-    exits: convergence returns the current iterate; running out of
-    ``max_iter`` returns the last iterate with ``converged=False``; a
-    direction of negative curvature raises DivergenceError.  Returning the
-    last iterate is sound: each CG iterate minimizes the A-norm error over
-    its Krylov space.
+    Returns ``(x, iterations, relative_residual, converged, coeffs)`` with
+    the residual measured in the Frobenius norm relative to ``|b|`` and
+    ``coeffs`` the per-iteration, per-column step and direction
+    coefficients ``(alphas, betas)``.  When ``project`` is given it is
+    applied to every preconditioned direction so the iterates stay inside
+    the constraint subspace.  There are three exits: convergence returns
+    the current iterate; running out of ``max_iter`` returns the last
+    iterate with ``converged=False``; a direction of negative curvature
+    raises DivergenceError.  Returning the last iterate is sound: each CG
+    iterate minimizes the A-norm error over its Krylov space.
     """
     bnorm = float(np.linalg.norm(b))
     x = np.zeros_like(b)
+    alphas, betas = [], []
     if bnorm == 0.0:
-        return x, 0, 0.0, True
+        return x, 0, 0.0, True, (alphas, betas)
     r = b.copy()
     z = r / diag[:, None]
     if project is not None:
@@ -148,67 +145,63 @@ def _pcg(matvec, b, diag, tol, max_iter, project=None):
                 "(for v_laplace and v_poisson, lam is past the stability bound)"
             )
         alpha = np.divide(rz, pAp, out=np.zeros_like(rz), where=pAp > 0)
+        alphas.append(alpha)
         x += alpha * p
         r -= alpha * Ap
         rel = float(np.linalg.norm(r)) / bnorm
         if rel <= tol:
-            return x, iterations, rel, True
+            return x, iterations, rel, True, (alphas, betas)
         z = r / diag[:, None]
         if project is not None:
             z = project(z)
         rz_new = np.einsum("ij,ij->j", r, z)
         beta = np.divide(rz_new, rz, out=np.zeros_like(rz), where=np.abs(rz) > 0)
+        betas.append(beta)
         p = z + beta * p
         rz = rz_new
-    return x, max_iter, rel, False
+    return x, max_iter, rel, False, (alphas, betas)
+
+
+def _smallest_ritz(alphas, betas) -> float:
+    """Smallest Ritz value of the Jacobi-preconditioned operator of one ``_pcg`` run.
+
+    Each column's coefficients define a Lanczos tridiagonal with diagonal
+    ``1/a_i + b_(i-1)/a_(i-1)`` and off-diagonal ``sqrt(b_i)/a_i`` (Saad,
+    Iterative Methods for Sparse Linear Systems, section 6.7), whose lowest
+    eigenvalue approaches the operator's from above.  A column's recurrence
+    ends at its first zero step; a zero right-hand-side column has none.
+    """
+    a = np.array(alphas)
+    b = np.array(betas).reshape(-1, a.shape[1])
+    theta = np.inf
+    for aj, bj in zip(a.T, b.T):
+        m = int(np.cumprod(aj > 0).sum())
+        if m:
+            aj, bj = aj[:m], bj[: m - 1]
+            d = 1.0 / aj
+            d[1:] += bj / aj[:-1]
+            low = eigvalsh_tridiagonal(d, np.sqrt(bj) / aj[:-1], select="i", select_range=(0, 0))
+            theta = min(theta, float(low[0]))
+    return theta
 
 
 def estimate_stability_limit(g: Graph) -> float:
-    """Crude power-iteration estimate of the largest stable variance weight.
+    """lambda_2 of the pencil (L, diag q): the v_poisson stability bound.
 
-    Approximates lambda_2(L) / max_i q_i with 20 power steps for the top
-    eigenvalue of L and 20 deflated shifted steps for lambda_2.  Intended
-    only for the near-instability warning, not as a sharp bound.
+    Every v_* system is positive definite for ``lam`` below lambda_2.  The
+    value is the smallest Ritz value of one Jacobi-PCG solve of the
+    ``lam = 0`` poisson system with a fixed right-hand side, times the total
+    degree, and lies within 1% above lambda_2.  Returns 0.0 on a
+    disconnected graph, where lambda_2 vanishes.
     """
-    L = g.laplacian_matrix()
-    n = g.n
-    v = np.cos(0.7 * np.arange(n) + 0.3)
-    v /= np.linalg.norm(v)
-    for _ in range(20):
-        w = L @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            break
-        v = w / nw
-    lmax = float(v @ (L @ v))
-    if lmax <= 0:
+    ncomp, _ = csgraph.connected_components(g.adjacency, directed=False)
+    if ncomp != 1:
         return 0.0
-    x = np.cos(1.3 * np.arange(n) + 0.9)
-    x -= x.mean()
-    nx = np.linalg.norm(x)
-    if nx == 0:
-        return 0.0
-    x /= nx
-    for _ in range(20):
-        w = lmax * x - L @ x
-        w -= w.mean()
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            break
-        x = w / nw
-    lam2 = max(float(x @ (L @ x)), 0.0)
-    return lam2 / float(g.degree_weights.max())
-
-
-def _warn_if_unstable(g: Graph, lam: float) -> None:
-    limit = estimate_stability_limit(g)
-    if lam >= 0.9 * limit:
-        warnings.warn(
-            f"variance weight lam={lam:g} is at or above 0.9x the estimated "
-            f"stability bound {limit:.4g}; the solve may diverge",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    b = np.cos(1.3 * np.arange(g.n) + 0.9)[:, None]
+    b -= b.mean()  # in the range of L, like every poisson source
+    system = _System(A=g.laplacian_matrix(), rhs=b, lam=0.0, q=g.degree_weights)
+    coeffs = _pcg(system.matvec, b, system.diagonal, 1e-12, g.n, project=system.project)[4]
+    return _smallest_ritz(*coeffs) * float(g.degrees.sum())
 
 
 @dataclass(frozen=True)
@@ -253,11 +246,9 @@ class _System:
 
     @property
     def project(self):
-        if self.q is None:
-            return None
         q = self.q
         # keep iterates in the zero q-mean subspace
-        return lambda v: v - q @ v
+        return None if q is None else lambda v: v - q @ v
 
     def result(self, x, iterations, final_residual, converged) -> SolveResult:
         u = x
@@ -277,7 +268,10 @@ def _assemble(g: Graph, labels: LabelSet, cfg: SolverConfig) -> _System:
     problem has a disconnected graph.  Warns when the poisson source
     vanishes; the returned system is then trivial.
     """
-    _check_labels(g, labels)
+    if labels.nodes.max() >= g.n:
+        raise InvalidInputError(
+            f"labeled node {labels.nodes.max()} does not exist in a {g.n}-node graph"
+        )
     ncomp, comp = csgraph.connected_components(g.adjacency, directed=False)
     lam = cfg.lam if cfg.method in ("v_laplace", "v_poisson") else 0.0
     q = g.degree_weights
@@ -291,9 +285,7 @@ def _assemble(g: Graph, labels: LabelSet, cfg: SolverConfig) -> _System:
                 f"{missing} connected component(s) contain no labeled node; "
                 "propagation cannot reach them"
             )
-        mask = np.ones(g.n, dtype=bool)
-        mask[il] = False
-        iu = np.flatnonzero(mask)
+        iu = np.setdiff1d(np.arange(g.n), il)
         clamped = np.zeros((g.n, labels.k))
         clamped[il] = y
         Lu = g.laplacian_matrix()[iu]
@@ -335,23 +327,33 @@ def solve(g: Graph, labels: LabelSet, cfg: SolverConfig) -> SolveResult:
 
     Checks run in this order: labeled nodes, component coverage or
     connectivity, the trivial cases (every node labeled, vanished poisson
-    source), the near-instability warning for ``lam > 0``, and a
-    nonpositive Jacobi diagonal, which raises DivergenceError.
+    source), a nonpositive Jacobi diagonal, then negative curvature in the
+    PCG; both of the last raise DivergenceError.  After the PCG, a poisson
+    family solve with ``lam > 0`` warns when ``lam`` is at or above 0.9x
+    the bound it read from its smallest Ritz value.
     """
     system = _assemble(g, labels, cfg)
     if system.trivial:
         return system.result(np.zeros_like(system.rhs), 0, 0.0, True)
-    if system.lam > 0:
-        _warn_if_unstable(g, system.lam)
     diag = system.diagonal
     if diag.min() <= 0:
         raise DivergenceError(
             f"variance weight lam={system.lam:g} drives the shifted diagonal nonpositive; "
             "it is past the stability bound"
         )
-    x, iters, rel, conv = _pcg(
+    x, iters, rel, conv, coeffs = _pcg(
         system.matvec, system.rhs, diag, cfg.tol, cfg.max_iter, project=system.project
     )
+    if system.q is not None and system.lam > 0:
+        # the Jacobi diagonal of L - lam diag(q) is q (S - lam), S the total degree
+        bound = system.lam + _smallest_ritz(*coeffs) * (g.degrees.sum() - system.lam)
+        if system.lam >= 0.9 * bound:
+            warnings.warn(
+                f"variance weight lam={system.lam:g} is at or above 0.9x the stability "
+                f"bound {bound:.4g} read from this solve",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     return system.result(x, iters, rel, conv)
 
 
@@ -371,8 +373,9 @@ def v_laplace_solve(g: Graph, labels: LabelSet, cfg: SolverConfig = None) -> Sol
     Since ubar = q_u^T u_u + q_l^T y is linear in the unknowns, this is the
     single system (L_uu - lam diag(q_u) + lam q_u q_u^T) u_u
     = -L_ul y - lam q_u (q_l^T y), solved with one PCG whose matvec adds
-    the rank-one coupling to the sparse shifted block.  The operator is SPD
-    wherever L_uu - lam diag(q_u) is.
+    the rank-one coupling to the sparse shifted block.  It is SPD for lam
+    below 1/lambda_max(diag(q_u) - q_u q_u^T, L_uu), which is at least
+    lambda_2 of the pencil (L, diag q); ``solve`` does not warn near it.
     """
     return solve(g, labels, replace(cfg or SolverConfig(), method="v_laplace"))
 
@@ -419,12 +422,8 @@ def dense_oracle_solve(g: Graph, labels: LabelSet, cfg: SolverConfig) -> SolveRe
     if system.coupling is not None:
         M += system.lam * np.outer(system.coupling, system.coupling)
     if system.q is not None:
-        n = M.shape[0]
-        bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = M
-        bordered[:n, n] = system.q
-        bordered[n, :n] = system.q
-        M = bordered
+        q = system.q[:, None]
+        M = np.block([[M, q], [q.T, np.zeros((1, 1))]])
         rhs = np.vstack([rhs, np.zeros((1, rhs.shape[1]))])
     try:
         x = np.linalg.solve(M, rhs)[: system.rhs.shape[0]]

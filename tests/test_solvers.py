@@ -1,6 +1,10 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import eigh, null_space
 from scipy.sparse.linalg import cg as sparse_cg
 
 from helpers import random_connected_graph, random_label_set
@@ -8,6 +12,7 @@ from varprop import (
     LabelSet,
     SolverConfig,
     dense_oracle_solve,
+    estimate_stability_limit,
     graph_from_edges,
     laplace_solve,
     laplacian_apply,
@@ -238,12 +243,12 @@ class TestVLaplace:
     def test_huge_lambda_diverges(self):
         g = random_connected_graph(41, 20)
         ls = random_label_set(41, 20, 2, 2)
-        with pytest.raises(DivergenceError), pytest.warns(RuntimeWarning):
+        with pytest.raises(DivergenceError):
             v_laplace_solve(g, ls, SolverConfig(lam=1e6, method="v_laplace"))
 
     def test_converges_below_dirichlet_bound(self):
-        # lambda_min of (L_uu, diag q_u) is ~5.62 here and the global
-        # stability estimate ~30.6: lam=4 is stable and draws no warning
+        # lambda_min of (L_uu, diag q_u) is ~5.62 here, so L_uu - lam diag(q_u)
+        # is definite at lam=4; the coupled operator stays definite up to ~55.1
         g = random_connected_graph(7000, 40)
         ls = random_label_set(0, 40, 2, 1)
         cfg = SolverConfig(method="v_laplace", lam=4.0)
@@ -298,7 +303,7 @@ class TestVPoisson:
     def test_huge_lambda_diverges(self):
         g = random_connected_graph(42, 20)
         ls = random_label_set(42, 20, 2, 2)
-        with pytest.raises(DivergenceError), pytest.warns(RuntimeWarning):
+        with pytest.raises(DivergenceError):
             v_poisson_solve(g, ls, SolverConfig(lam=1e6, method="v_poisson"))
 
     def test_moderately_unstable_lambda_diverges_by_curvature(self, silence_runtime_warnings):
@@ -306,6 +311,56 @@ class TestVPoisson:
         ls = random_label_set(5, 30, 2, 2)
         with pytest.raises(DivergenceError):
             v_poisson_solve(g, ls, SolverConfig(lam=100.0, method="v_poisson"))
+
+
+def dense_v_poisson_bound(g, unshifted=()):
+    """Exact v_poisson bound: the smallest lam at which L - lam diag(q_s) is
+    singular on {q^T u = 0}, where q_s is q zeroed at the ``unshifted`` nodes.
+    With every node shifted it is lambda_2 of the pencil (L, diag q)."""
+    q = g.degree_weights
+    shift = q.copy()
+    shift[list(unshifted)] = 0.0
+    N = null_space(q[None, :])
+    L = g.laplacian_matrix().toarray()
+    return 1.0 / eigh(N.T @ np.diag(shift) @ N, N.T @ L @ N, eigvals_only=True)[-1]
+
+
+class TestStabilityBound:
+    @pytest.mark.parametrize("trial", range(0, 50, 5))
+    def test_estimate_is_dense_lambda2(self, trial):
+        g = random_connected_graph(1000 + trial, 20 + trial % 31)
+        ratio = estimate_stability_limit(g) / dense_v_poisson_bound(g)
+        assert 1.0 - 1e-9 <= ratio <= 1.01
+
+    def test_unit_edge(self):
+        assert estimate_stability_limit(path_graph(2)) == pytest.approx(4.0, rel=1e-12)
+
+    def test_disconnected_graph_is_zero(self):
+        g = graph_from_edges(6, [0, 0, 1, 3, 3, 4], [1, 2, 2, 4, 5, 5])
+        assert estimate_stability_limit(g) == 0.0
+
+    @pytest.mark.parametrize("on_labeled", [True, False])
+    def test_v_poisson_warns_near_its_bound(self, on_labeled):
+        g = random_connected_graph(24, 30)
+        ls = random_label_set(24, 30, 2, 2)
+        bound = dense_v_poisson_bound(g, () if on_labeled else ls.nodes)
+        cfg = SolverConfig(method="v_poisson", variance_on_labeled=on_labeled)
+        with pytest.warns(RuntimeWarning, match="stability bound"):
+            res = solve(g, ls, replace(cfg, lam=0.95 * bound))
+        assert res.converged
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve(g, ls, replace(cfg, lam=0.8 * bound)).converged
+
+    def test_v_laplace_converges_below_estimate_without_warning(self):
+        g = random_connected_graph(7000, 40)
+        ls = random_label_set(0, 40, 2, 1)
+        cfg = SolverConfig(method="v_laplace", lam=0.98 * estimate_stability_limit(g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(g, ls, cfg)
+        assert res.converged
+        assert np.abs(res.u - dense_oracle_solve(g, ls, cfg).u).max() <= 1e-6
 
 
 class TestPredict:
