@@ -45,12 +45,8 @@ from .solvers import (
     SolverConfig,
     dense_oracle_solve,
     estimate_stability_limit,
-    laplace_solve,
-    poisson_solve,
     predict,
     solve,
-    v_laplace_solve,
-    v_poisson_solve,
 )
 from .synth import make_cluster_dataset
 
@@ -76,14 +72,12 @@ __all__ = [
     "emit_table",
     "estimate_stability_limit",
     "graph_from_edges",
-    "laplace_solve",
     "laplacian_apply",
     "load_feature_dataset",
     "load_graph_dataset",
     "make_cluster_dataset",
     "objective_value",
     "ode_residual_check",
-    "poisson_solve",
     "predict",
     "read_edgelist",
     "residual_refinement_ratio",
@@ -91,8 +85,6 @@ __all__ = [
     "sample_label_set",
     "second_difference",
     "solve",
-    "v_laplace_solve",
-    "v_poisson_solve",
     "variance",
     "weighted_mean",
     "with_knn_graph",

@@ -6,7 +6,6 @@ would inflate the clamping methods).  Trial seeds derive from
 (base_seed, trial index), so reports are independent of execution order.
 """
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,19 +131,12 @@ def _cell(report: TrialReport) -> str:
     return f"{100.0 * report.mean:.1f} ({100.0 * report.std:.1f})"
 
 
-def emit_table(reports, fmt: str = "text") -> str:
-    """Render TrialReports as a table: rows are methods, columns labels-per-class.
-
-    ``text`` and ``tsv`` print accuracy cells as percent "mean (std)" with
-    one decimal; ``json`` dumps the full-precision report list.
-    """
+def emit_table(reports) -> str:
+    """Render TrialReports as a text table: rows are methods, columns
+    labels-per-class, cells percent "mean (std)" with one decimal."""
     reports = list(reports)
     if not reports:
         raise LayoutError("no reports to lay out")
-    if fmt == "json":
-        return json.dumps([report_to_dict(r) for r in reports], indent=2, sort_keys=True)
-    if fmt not in ("text", "tsv"):
-        raise LayoutError(f"unknown table format {fmt!r}")
 
     methods = []
     grid = {}
@@ -162,8 +154,6 @@ def emit_table(reports, fmt: str = "text") -> str:
 
     header = ["method"] + [str(c) for c in columns]
     rows = [[m] + [_cell(grid[(m, c)]) for c in columns] for m in methods]
-    if fmt == "tsv":
-        return "\n".join("\t".join(row) for row in [header] + rows)
     widths = [max(len(row[i]) for row in [header] + rows) for i in range(len(header))]
     lines = []
     for row in [header] + rows:

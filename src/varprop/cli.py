@@ -143,6 +143,8 @@ def _cmd_solve(args) -> int:
     predictions = predict(result.u)
     with open(args.out, "w") as fh:
         fh.write("\n".join(str(int(c)) for c in predictions) + "\n")
+    # laplace and poisson solve their systems without the variance term
+    solved_lam = args.lam if args.method.startswith("v_") else 0.0
     sidecar = {
         "flags": {
             "graph": args.graph,
@@ -156,7 +158,7 @@ def _cmd_solve(args) -> int:
         "iterations": result.iterations,
         "final_residual": result.final_residual,
         "converged": result.converged,
-        "objective_value": objective_value(g, result.u, args.lam),
+        "objective_value": objective_value(g, result.u, solved_lam),
     }
     with open(args.out + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -207,7 +209,7 @@ def _cmd_bench(args) -> int:
         for method in methods
         for m in m_values
     ]
-    print(emit_table(reports, "text"))
+    print(emit_table(reports))
     if args.out:
         doc = {
             "dataset": ds.name,

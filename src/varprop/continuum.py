@@ -45,8 +45,8 @@ class ContinuumConfig:
     def __post_init__(self):
         if self.n_grid < 16:
             raise InvalidParameterError("n_grid must be >= 16")
-        if self.lam <= 0:
-            raise InvalidParameterError("lam must be > 0")
+        if not 0 < self.lam < math.inf:  # NaN fails too
+            raise InvalidParameterError(f"lam must be finite and > 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -83,36 +83,29 @@ def second_difference(values, h: float) -> np.ndarray:
     return (v[:-2] - 2.0 * v[1:-1] + v[2:]) / (h * h)
 
 
-def _sampled_wave(cfg: ContinuumConfig, waveform: str):
+def _cosine_residual(cfg: ContinuumConfig):
+    """Grid, sampled cos(sqrt(lam)*x), and the discrete residual at interior points."""
     x = np.linspace(0.0, 1.0, cfg.n_grid)
-    root = math.sqrt(cfg.lam)
-    if waveform == "cos":
-        v = np.cos(root * x)
-    elif waveform == "sin":
-        v = np.sin(root * x)
-    else:
-        raise InvalidParameterError(f"waveform must be 'cos' or 'sin', got {waveform!r}")
-    return x, v
+    v = np.cos(math.sqrt(cfg.lam) * x)
+    return x, v, second_difference(v, x[1] - x[0]) + cfg.lam * v[1:-1]
 
 
-def ode_residual_check(cfg: ContinuumConfig, waveform: str = "cos") -> ResidualStats:
-    """Residual statistics of the discrete u'' + lam*u = 0 for a sampled sinusoid."""
-    x, v = _sampled_wave(cfg, waveform)
-    h = x[1] - x[0]
-    resid = second_difference(v, h) + cfg.lam * v[1:-1]
+def ode_residual_check(cfg: ContinuumConfig) -> ResidualStats:
+    """Residual statistics of the discrete u'' + lam*u = 0 for cos(sqrt(lam)*x)."""
+    x, _, resid = _cosine_residual(cfg)
     return ResidualStats(
         n_grid=cfg.n_grid,
-        h=float(h),
+        h=float(x[1] - x[0]),
         max_residual=float(np.abs(resid).max()),
         mean_residual=float(np.abs(resid).mean()),
     )
 
 
-def residual_refinement_ratio(cfg: ContinuumConfig, waveform: str = "cos") -> RefinementReport:
+def residual_refinement_ratio(cfg: ContinuumConfig) -> RefinementReport:
     """Residual ratio between spacing h and exactly h/2; second order gives ~4."""
-    coarse = ode_residual_check(cfg, waveform)
+    coarse = ode_residual_check(cfg)
     fine_cfg = ContinuumConfig(n_grid=2 * cfg.n_grid - 1, lam=cfg.lam)
-    fine = ode_residual_check(fine_cfg, waveform)
+    fine = ode_residual_check(fine_cfg)
     return RefinementReport(coarse=coarse, fine=fine, ratio=coarse.max_residual / fine.max_residual)
 
 
@@ -185,11 +178,9 @@ def discrete_vs_continuum(cfg: ContinuumConfig) -> PathGraphReport:
     )
 
 
-def write_residual_csv(cfg: ContinuumConfig, path, waveform: str = "cos") -> None:
+def write_residual_csv(cfg: ContinuumConfig, path) -> None:
     """Write (x, value, residual) rows for the interior grid points."""
-    x, v = _sampled_wave(cfg, waveform)
-    h = x[1] - x[0]
-    resid = second_difference(v, h) + cfg.lam * v[1:-1]
+    x, v, resid = _cosine_residual(cfg)
     with open(path, "w") as fh:
         fh.write("x,value,residual\n")
         for xi, vi, ri in zip(x[1:-1], v[1:-1], resid):

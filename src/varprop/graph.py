@@ -5,6 +5,7 @@ class scores of node i.  Every operator also accepts a 1-D array as the
 k = 1 case and returns a matching shape.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -354,8 +355,8 @@ def objective_value(g: Graph, u, lam: float) -> float:
     minus ``lam`` times ``variance(g, u)``.  The pair sum equals
     trace(u^T L u), which is how it is evaluated.
     """
-    if lam < 0:
-        raise InvalidParameterError("lam must be >= 0")
+    if not 0 <= lam < math.inf:  # NaN fails too
+        raise InvalidParameterError(f"lam must be finite and >= 0, got {lam}")
     mat, _ = _label_matrix(g, u)
     smooth = float(np.sum(mat * laplacian_apply(g, mat)))
     return smooth - float(lam) * variance(g, mat)

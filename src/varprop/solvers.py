@@ -1,7 +1,9 @@
 """The four label-propagation solvers and their dense reference counterpart.
 
-All solvers take a Graph, a LabelSet and a SolverConfig and return a
-SolveResult whose ``u`` is the (n, k) label-score matrix.
+``solve`` runs the method that ``SolverConfig.method`` names, and
+``dense_oracle_solve`` is its dense reference.  Both take a Graph, a
+LabelSet and a SolverConfig and return a SolveResult whose ``u`` is the
+(n, k) label-score matrix.
 
 ``laplace``    clamps labeled nodes to their one-hot targets and makes u
                harmonic (Lu = 0) at every unlabeled node.
@@ -13,10 +15,18 @@ SolveResult whose ``u`` is the (n, k) label-score matrix.
                to Lu_i = lam * q_i * (u_i - ubar), with ubar the degree
                weighted mean of u over all nodes.  Rewarding spread this
                way counteracts the near-constant collapse of clamped
-               propagation at very low label rates.
+               propagation at very low label rates.  Since
+               ubar = q_u^T u_u + q_l^T y is linear in the unknowns, this
+               is the single system
+               (L_uu - lam diag(q_u) + lam q_u q_u^T) u_u
+               = -L_ul y - lam q_u (q_l^T y),
+               whose matvec adds the rank-one coupling to the sparse
+               shifted block.
 ``v_poisson``  adds the same variance term to the poisson system, giving
                (L - lam * diag(q)) u = source under the zero-mean
-               constraint (the constraint makes ubar vanish).
+               constraint (the constraint makes ubar vanish).  With
+               ``variance_on_labeled=False`` the diagonal shift applies at
+               unlabeled nodes only.
 
 Each method's system is assembled once, by ``_assemble``; ``solve`` runs
 one Jacobi-PCG on it and ``dense_oracle_solve`` factors it densely.
@@ -24,12 +34,15 @@ one Jacobi-PCG on it and ``dense_oracle_solve`` factors it densely.
 The variance term is maximized, so both v_* systems lose positive
 definiteness once ``lam`` passes a graph-dependent stability bound.  For
 the poisson family ``solve`` reads that bound from the coefficients of its
-own PCG and warns, after the iteration, when ``lam`` is within 10% of it;
-v_laplace gets no such warning.  Breakdown raises DivergenceError.
+own PCG and warns, after the iteration, when ``lam`` is within 10% of it.
+v_laplace is SPD for lam below 1/lambda_max(diag(q_u) - q_u q_u^T, L_uu),
+which is at least lambda_2 of the pencil (L, diag q); ``solve`` does not
+warn near it.  Breakdown raises DivergenceError.
 """
 
+import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -50,10 +63,6 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "solve",
-    "laplace_solve",
-    "poisson_solve",
-    "v_laplace_solve",
-    "v_poisson_solve",
     "dense_oracle_solve",
     "predict",
     "estimate_stability_limit",
@@ -80,10 +89,11 @@ class SolverConfig:
     variance_on_labeled: bool = True
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise InvalidParameterError("lam must be >= 0")
-        if self.tol <= 0:
-            raise InvalidParameterError("tol must be > 0")
+        # written so that NaN fails each check
+        if not 0 <= self.lam < math.inf:
+            raise InvalidParameterError(f"lam must be finite and >= 0, got {self.lam}")
+        if not 0 < self.tol < math.inf:
+            raise InvalidParameterError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iter < 1:
             raise InvalidParameterError("max_iter must be >= 1")
         if self.method not in METHODS:
@@ -355,40 +365,6 @@ def solve(g: Graph, labels: LabelSet, cfg: SolverConfig) -> SolveResult:
                 stacklevel=2,
             )
     return system.result(x, iters, rel, conv)
-
-
-def laplace_solve(g: Graph, labels: LabelSet, cfg: SolverConfig = None) -> SolveResult:
-    """Harmonic interpolation with labeled nodes clamped to their one-hot targets."""
-    return solve(g, labels, replace(cfg or SolverConfig(), method="laplace"))
-
-
-def poisson_solve(g: Graph, labels: LabelSet, cfg: SolverConfig = None) -> SolveResult:
-    """Source-term propagation: Lu = y_i - ybar at labeled nodes, zero-mean constrained."""
-    return solve(g, labels, replace(cfg or SolverConfig(), method="poisson"))
-
-
-def v_laplace_solve(g: Graph, labels: LabelSet, cfg: SolverConfig = None) -> SolveResult:
-    """Clamped propagation whose unlabeled stationarity is Lu_i = lam q_i (u_i - ubar).
-
-    Since ubar = q_u^T u_u + q_l^T y is linear in the unknowns, this is the
-    single system (L_uu - lam diag(q_u) + lam q_u q_u^T) u_u
-    = -L_ul y - lam q_u (q_l^T y), solved with one PCG whose matvec adds
-    the rank-one coupling to the sparse shifted block.  It is SPD for lam
-    below 1/lambda_max(diag(q_u) - q_u q_u^T, L_uu), which is at least
-    lambda_2 of the pencil (L, diag q); ``solve`` does not warn near it.
-    """
-    return solve(g, labels, replace(cfg or SolverConfig(), method="v_laplace"))
-
-
-def v_poisson_solve(g: Graph, labels: LabelSet, cfg: SolverConfig = None) -> SolveResult:
-    """Poisson propagation with the variance term: (L - lam diag(q)) u = source.
-
-    The zero-mean constraint sum_i q_i u_i = 0 is enforced throughout, so
-    the weighted mean of the solution vanishes.  With
-    ``cfg.variance_on_labeled=False`` the diagonal shift applies at
-    unlabeled nodes only.
-    """
-    return solve(g, labels, replace(cfg or SolverConfig(), method="v_poisson"))
 
 
 def predict(u) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 
 import varprop.cli as cli
 from varprop.cli import main
+from varprop.graph import objective_value, read_edgelist
 
 
 @pytest.fixture
@@ -96,7 +97,11 @@ class TestSolve:
         assert sidecar["converged"] is True
         assert sidecar["final_residual"] <= 1e-8
         assert sidecar["flags"]["method"] == "laplace"
-        assert "objective_value" in sidecar
+        # laplace solves without the variance term, whatever --lambda says
+        g = read_edgelist(str(graph))
+        u = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        assert sidecar["objective_value"] == pytest.approx(objective_value(g, u, 0.0), abs=1e-12)
+        assert objective_value(g, u, 0.0) != pytest.approx(objective_value(g, u, 0.1))
         capsys.readouterr()
 
     def test_k3_poisson_predictions(self, k3, tmp_path, capsys):
@@ -144,6 +149,18 @@ class TestSolve:
                      "--method", "laplace", "--out", str(tmp_path / "p.txt")])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameter_is_usage_error(self, k3, tmp_path, capsys, flag, value):
+        graph, labels = k3
+        out = tmp_path / "p.txt"
+        code = main(["solve", "--graph", str(graph), "--labels", str(labels),
+                     "--method", "v_poisson", flag, value, "--out", str(out)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "p.txt.json").exists()
 
     def test_unknown_flag_rejected(self, path3, capsys):
         graph, labels = path3
@@ -230,6 +247,10 @@ class TestVerifyPde:
     def test_grid_below_minimum_is_usage_error(self, capsys):
         assert main(["verify-pde", "--lambda", "4", "--grid", "8"]) == 2
         capsys.readouterr()
+
+    def test_nan_lambda_is_usage_error(self, capsys):
+        assert main(["verify-pde", "--lambda", "nan", "--grid", "64"]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_csv_side_output(self, tmp_path, capsys):
         csv = tmp_path / "resid.csv"

@@ -22,6 +22,11 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             ContinuumConfig(n_grid=64, lam=0.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda(self, lam):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            ContinuumConfig(n_grid=64, lam=lam)
+
 
 class TestSecondDifference:
     def test_annihilates_affine_functions(self):
@@ -52,19 +57,11 @@ class TestOdeResidual:
         assert report.fine.n_grid == 2 * 64 - 1
         assert report.fine.h == pytest.approx(report.coarse.h / 2)
 
-    def test_second_order_ratio_sine(self):
-        report = residual_refinement_ratio(ContinuumConfig(n_grid=64, lam=1.0), waveform="sin")
-        assert 3.5 <= report.ratio <= 4.5
-
     def test_residual_scales_with_h_squared(self):
         stats = ode_residual_check(ContinuumConfig(n_grid=128, lam=4.0))
         # leading error term is h^2 * lam^2 / 12
         predicted = stats.h**2 * 16.0 / 12.0
         assert stats.max_residual == pytest.approx(predicted, rel=0.05)
-
-    def test_unknown_waveform(self):
-        with pytest.raises(InvalidParameterError):
-            ode_residual_check(ContinuumConfig(n_grid=64, lam=1.0), waveform="square")
 
 
 class TestPathGraphEigenvector:

@@ -201,6 +201,11 @@ class TestOperators:
         g = path_graph(3)
         assert objective_value(g, np.array([0.0, 1.0, 0.0]), 0.0) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("lam", [-0.1, float("nan"), float("inf")])
+    def test_objective_rejects_bad_lambda(self, lam):
+        with pytest.raises(InvalidParameterError):
+            objective_value(path_graph(3), np.array([0.0, 1.0, 0.0]), lam)
+
     @given(st.integers(0, 10_000), st.integers(3, 20))
     @settings(max_examples=25, deadline=None)
     def test_objective_matches_edge_loop(self, seed, n):

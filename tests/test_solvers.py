@@ -14,14 +14,10 @@ from varprop import (
     dense_oracle_solve,
     estimate_stability_limit,
     graph_from_edges,
-    laplace_solve,
     laplacian_apply,
     objective_value,
-    poisson_solve,
     predict,
     solve,
-    v_laplace_solve,
-    v_poisson_solve,
     variance,
     weighted_mean,
 )
@@ -49,7 +45,11 @@ K3_LABELS = LabelSet(k=2, entries=((0, 0), (1, 1)))
 class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(lam=-0.1), dict(tol=0.0), dict(max_iter=0), dict(method="jacobi")],
+        [
+            dict(lam=-0.1), dict(tol=0.0), dict(max_iter=0), dict(method="jacobi"),
+            dict(lam=float("nan")), dict(lam=float("inf")),
+            dict(tol=float("nan")), dict(tol=float("inf")),
+        ],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(InvalidParameterError):
@@ -60,18 +60,18 @@ class TestLaplace:
     def test_all_nodes_labeled_returns_clamped_values(self):
         g = triangle()
         ls = LabelSet(k=2, entries=((0, 0), (1, 1), (2, 0)))
-        res = laplace_solve(g, ls)
+        res = solve(g, ls, SolverConfig(method="laplace"))
         assert res.converged and res.iterations == 0
         np.testing.assert_array_equal(res.u, [[1, 0], [0, 1], [1, 0]])
 
     def test_path3_midpoint(self):
-        res = laplace_solve(path_graph(3), PATH3_LABELS)
+        res = solve(path_graph(3), PATH3_LABELS, SolverConfig(method="laplace"))
         np.testing.assert_allclose(res.u[1], [0.5, 0.5], atol=1e-12)
 
     def test_path4_harmonic_thirds(self):
         g = path_graph(4)
         ls = LabelSet(k=2, entries=((0, 0), (3, 1)))
-        res = laplace_solve(g, ls)
+        res = solve(g, ls, SolverConfig(method="laplace"))
         np.testing.assert_allclose(res.u[1], [2 / 3, 1 / 3], atol=1e-9)
         np.testing.assert_allclose(res.u[2], [1 / 3, 2 / 3], atol=1e-9)
         oracle = dense_oracle_solve(g, ls, SolverConfig(method="laplace"))
@@ -81,25 +81,25 @@ class TestLaplace:
         g = graph_from_edges(4, [0, 2], [1, 3])
         ls = LabelSet(k=2, entries=((0, 0), (1, 1)))
         with pytest.raises(IllPosedError, match="component"):
-            laplace_solve(g, ls)
+            solve(g, ls, SolverConfig(method="laplace"))
 
     def test_labeled_per_component_is_solvable(self):
         g = graph_from_edges(4, [0, 2], [1, 3])
         ls = LabelSet(k=2, entries=((0, 0), (2, 1)))
-        res = laplace_solve(g, ls)
+        res = solve(g, ls, SolverConfig(method="laplace"))
         assert res.converged
         np.testing.assert_allclose(res.u[1], [1.0, 0.0], atol=1e-9)
         np.testing.assert_allclose(res.u[3], [0.0, 1.0], atol=1e-9)
 
     def test_unknown_labeled_node_rejected(self):
         with pytest.raises(InvalidInputError):
-            laplace_solve(path_graph(3), LabelSet(k=2, entries=((7, 0),)))
+            solve(path_graph(3), LabelSet(k=2, entries=((7, 0),)), SolverConfig(method="laplace"))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_maximum_principle(self, seed):
         g = random_connected_graph(seed + 50, 30)
         ls = random_label_set(seed, 30, 3, 2)
-        res = laplace_solve(g, ls)
+        res = solve(g, ls, SolverConfig(method="laplace"))
         y = ls.onehot_matrix()
         unlabeled = np.setdiff1d(np.arange(30), ls.nodes)
         for c in range(3):
@@ -150,7 +150,7 @@ class TestNonConvergence:
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 5])
     def test_laplace_iterate_matches_reference_cg(self, problem, max_iter):
         g, ls = problem
-        res = laplace_solve(g, ls, SolverConfig(method="laplace", max_iter=max_iter))
+        res = solve(g, ls, SolverConfig(method="laplace", max_iter=max_iter))
         unlabeled = np.setdiff1d(np.arange(g.n), ls.nodes)
         L = g.laplacian_matrix()
         A = L[unlabeled][:, unlabeled]
@@ -163,13 +163,13 @@ class TestNonConvergence:
 
 class TestPoisson:
     def test_k3_closed_form(self):
-        res = poisson_solve(triangle(), K3_LABELS)
+        res = solve(triangle(), K3_LABELS, SolverConfig(method="poisson"))
         expected = np.array([[1 / 6, -1 / 6], [-1 / 6, 1 / 6], [0.0, 0.0]])
         np.testing.assert_allclose(res.u, expected, atol=1e-10)
         np.testing.assert_array_equal(predict(res.u), [0, 1, 0])
 
     def test_path3_hand_solution(self):
-        res = poisson_solve(path_graph(3), PATH3_LABELS)
+        res = solve(path_graph(3), PATH3_LABELS, SolverConfig(method="poisson"))
         expected = np.array([[0.5, -0.5], [0.0, 0.0], [-0.5, 0.5]])
         np.testing.assert_allclose(res.u, expected, atol=1e-9)
 
@@ -182,14 +182,14 @@ class TestPoisson:
     def test_zero_weighted_mean(self):
         g = random_connected_graph(9, 25)
         ls = random_label_set(9, 25, 3, 2)
-        res = poisson_solve(g, ls)
+        res = solve(g, ls, SolverConfig(method="poisson"))
         np.testing.assert_allclose(weighted_mean(g, res.u), 0.0, atol=1e-8)
 
     def test_single_label_degenerates_to_zero_with_warning(self):
         g = triangle()
         ls = LabelSet(k=2, entries=((0, 0),))
         with pytest.warns(RuntimeWarning, match="source vanished"):
-            res = poisson_solve(g, ls)
+            res = solve(g, ls, SolverConfig(method="poisson"))
         assert res.converged
         np.testing.assert_array_equal(res.u, 0.0)
 
@@ -197,22 +197,22 @@ class TestPoisson:
         g = graph_from_edges(4, [0, 2], [1, 3])
         ls = LabelSet(k=2, entries=((0, 0), (2, 1)))
         with pytest.raises(IllPosedError, match="connected"):
-            poisson_solve(g, ls)
+            solve(g, ls, SolverConfig(method="poisson"))
 
 
 class TestVLaplace:
     def test_lambda_zero_matches_laplace(self):
         g = random_connected_graph(21, 30)
         ls = random_label_set(21, 30, 3, 2)
-        a = v_laplace_solve(g, ls, SolverConfig(lam=0.0, method="v_laplace"))
-        b = laplace_solve(g, ls)
+        a = solve(g, ls, SolverConfig(lam=0.0, method="v_laplace"))
+        b = solve(g, ls, SolverConfig(method="laplace"))
         np.testing.assert_allclose(a.u, b.u, atol=1e-8)
 
     def test_path3_matches_single_unknown_solve(self):
         # one unknown: (2 - lam*q1 + lam*q1*q1) u1 = 1 - lam*q1*(ql @ y)
         lam, q1, ql_y = 0.1, 0.5, 0.25
         expected = (1.0 - lam * q1 * ql_y) / (2.0 - lam * q1 + lam * q1 * q1)
-        res = v_laplace_solve(path_graph(3), PATH3_LABELS, SolverConfig(lam=lam, method="v_laplace"))
+        res = solve(path_graph(3), PATH3_LABELS, SolverConfig(lam=lam, method="v_laplace"))
         np.testing.assert_allclose(res.u[1], [expected, expected], atol=1e-8)
         oracle = dense_oracle_solve(path_graph(3), PATH3_LABELS, SolverConfig(lam=lam, method="v_laplace"))
         np.testing.assert_allclose(res.u, oracle.u, atol=1e-8)
@@ -221,7 +221,7 @@ class TestVLaplace:
         g = random_connected_graph(31, 28)
         ls = random_label_set(31, 28, 2, 2)
         cfg = SolverConfig(lam=0.1, method="v_laplace")
-        res = v_laplace_solve(g, ls, cfg)
+        res = solve(g, ls, cfg)
         assert res.converged
         unl = np.setdiff1d(np.arange(28), ls.nodes)
         ubar = weighted_mean(g, res.u)
@@ -244,7 +244,7 @@ class TestVLaplace:
         g = random_connected_graph(41, 20)
         ls = random_label_set(41, 20, 2, 2)
         with pytest.raises(DivergenceError):
-            v_laplace_solve(g, ls, SolverConfig(lam=1e6, method="v_laplace"))
+            solve(g, ls, SolverConfig(lam=1e6, method="v_laplace"))
 
     def test_converges_below_dirichlet_bound(self):
         # lambda_min of (L_uu, diag q_u) is ~5.62 here, so L_uu - lam diag(q_u)
@@ -252,7 +252,7 @@ class TestVLaplace:
         g = random_connected_graph(7000, 40)
         ls = random_label_set(0, 40, 2, 1)
         cfg = SolverConfig(method="v_laplace", lam=4.0)
-        res = v_laplace_solve(g, ls, cfg)
+        res = solve(g, ls, cfg)
         assert res.converged
         oracle = dense_oracle_solve(g, ls, cfg)
         assert np.abs(res.u - oracle.u).max() <= 1e-6
@@ -262,21 +262,21 @@ class TestVPoisson:
     def test_lambda_zero_matches_poisson(self):
         g = random_connected_graph(22, 30)
         ls = random_label_set(22, 30, 3, 2)
-        a = v_poisson_solve(g, ls, SolverConfig(lam=0.0, method="v_poisson"))
-        b = poisson_solve(g, ls)
+        a = solve(g, ls, SolverConfig(lam=0.0, method="v_poisson"))
+        b = solve(g, ls, SolverConfig(method="poisson"))
         np.testing.assert_allclose(a.u, b.u, atol=1e-8)
 
     def test_k3_closed_form_lambda_03(self):
         # on the zero-mean subspace of K3, L acts as 3I and q = 1/3
         cfg = SolverConfig(lam=0.3, method="v_poisson")
-        res = v_poisson_solve(triangle(), K3_LABELS, cfg)
+        res = solve(triangle(), K3_LABELS, cfg)
         source = np.array([[0.5, -0.5], [-0.5, 0.5], [0.0, 0.0]])
         np.testing.assert_allclose(res.u, source / 2.9, atol=1e-10)
 
     def test_zero_weighted_mean(self):
         g = random_connected_graph(23, 30)
         ls = random_label_set(23, 30, 2, 2)
-        res = v_poisson_solve(g, ls, SolverConfig(lam=0.1, method="v_poisson"))
+        res = solve(g, ls, SolverConfig(lam=0.1, method="v_poisson"))
         np.testing.assert_allclose(weighted_mean(g, res.u), 0.0, atol=1e-8)
 
     def test_variance_amplification(self):
@@ -292,7 +292,7 @@ class TestVPoisson:
         ls = random_label_set(24, 30, 2, 2)
         for flag in (True, False):
             cfg = SolverConfig(lam=0.1, method="v_poisson", variance_on_labeled=flag)
-            it = v_poisson_solve(g, ls, cfg)
+            it = solve(g, ls, cfg)
             orc = dense_oracle_solve(g, ls, cfg)
             assert it.converged
             np.testing.assert_allclose(it.u, orc.u, atol=1e-6)
@@ -304,13 +304,13 @@ class TestVPoisson:
         g = random_connected_graph(42, 20)
         ls = random_label_set(42, 20, 2, 2)
         with pytest.raises(DivergenceError):
-            v_poisson_solve(g, ls, SolverConfig(lam=1e6, method="v_poisson"))
+            solve(g, ls, SolverConfig(lam=1e6, method="v_poisson"))
 
     def test_moderately_unstable_lambda_diverges_by_curvature(self, silence_runtime_warnings):
         g = random_connected_graph(5, 30)
         ls = random_label_set(5, 30, 2, 2)
         with pytest.raises(DivergenceError):
-            v_poisson_solve(g, ls, SolverConfig(lam=100.0, method="v_poisson"))
+            solve(g, ls, SolverConfig(lam=100.0, method="v_poisson"))
 
 
 def dense_v_poisson_bound(g, unshifted=()):
