@@ -8,9 +8,11 @@ k = 1 case and returns a matching shape.
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import FormatError, InvalidInputError, InvalidParameterError
 
@@ -34,9 +36,10 @@ class Graph:
 
     ``adjacency`` has sorted indices, an exactly symmetric value pattern and
     a zero diagonal.  ``degrees[i]`` is the row sum of ``adjacency`` and
-    ``degree_weights`` are the degrees normalized to sum to one.  Instances
-    are safe to share between concurrent solver runs; treat every field as
-    read-only.
+    ``degree_weights`` are the degrees normalized to sum to one.  Each graph
+    builds its Laplacian and its component labels once, on first use.
+    Instances are safe to share between concurrent solver runs; treat every
+    field and every cached array as read-only.
     """
 
     n: int
@@ -49,8 +52,17 @@ class Graph:
         return self.adjacency.nnz // 2
 
     def laplacian_matrix(self) -> sparse.csr_matrix:
-        """Combinatorial Laplacian D - W as CSR."""
+        """Combinatorial Laplacian D - W as CSR, built on first use; read-only."""
+        return self._laplacian
+
+    @cached_property
+    def _laplacian(self) -> sparse.csr_matrix:
         return (sparse.diags(self.degrees) - self.adjacency).tocsr()
+
+    @cached_property
+    def components(self):
+        """``(count, labels)`` of the connected components, computed on first use."""
+        return csgraph.connected_components(self.adjacency, directed=False)
 
     @classmethod
     def from_adjacency(cls, matrix) -> "Graph":

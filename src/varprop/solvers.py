@@ -47,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.sparse import csgraph
 
 from .errors import (
     DivergenceError,
@@ -76,7 +75,7 @@ _ORACLE_MAX_NODES = 500
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver parameters: variance weight ``lam``, relative residual
-    tolerance, iteration cap and method selector.
+    tolerance (at least machine epsilon), iteration cap and method selector.
 
     ``variance_on_labeled`` only affects ``v_poisson``: when False the
     diagonal variance shift is applied at unlabeled nodes only.
@@ -92,8 +91,8 @@ class SolverConfig:
         # written so that NaN fails each check
         if not 0 <= self.lam < math.inf:
             raise InvalidParameterError(f"lam must be finite and >= 0, got {self.lam}")
-        if not 0 < self.tol < math.inf:
-            raise InvalidParameterError(f"tol must be finite and > 0, got {self.tol}")
+        if not np.finfo(float).eps <= self.tol < math.inf:
+            raise InvalidParameterError(f"tol must be finite and >= machine epsilon, got {self.tol}")
         if self.max_iter < 1:
             raise InvalidParameterError("max_iter must be >= 1")
         if self.method not in METHODS:
@@ -132,42 +131,46 @@ def _pcg(matvec, b, diag, tol, max_iter, project=None):
     the current iterate; running out of ``max_iter`` returns the last
     iterate with ``converged=False``; a direction of negative curvature
     raises DivergenceError.  Returning the last iterate is sound: each CG
-    iterate minimizes the A-norm error over its Krylov space.
+    iterate minimizes the A-norm error over its Krylov space.  The work
+    arrays are updated in place, and the (nonnegative) curvature scale is
+    computed only when some ``pAp`` is negative.
     """
     bnorm = float(np.linalg.norm(b))
     x = np.zeros_like(b)
     alphas, betas = [], []
     if bnorm == 0.0:
         return x, 0, 0.0, True, (alphas, betas)
+    D = np.broadcast_to(diag[:, None], b.shape).copy()
     r = b.copy()
-    z = r / diag[:, None]
+    z = r / D
     if project is not None:
         z = project(z)
     p = z.copy()
+    t = np.empty_like(b)
     rz = np.einsum("ij,ij->j", r, z)
     for iterations in range(1, max_iter + 1):
         Ap = matvec(p)
         pAp = np.einsum("ij,ij->j", p, Ap)
-        scale = np.einsum("ij,ij->j", np.abs(p), np.abs(Ap))
-        if np.any(pAp < -1e-10 * scale):
+        if (pAp < 0).any() and (pAp < -1e-10 * np.einsum("ij,ij->j", np.abs(p), np.abs(Ap))).any():
             raise DivergenceError(
                 "negative curvature encountered: the operator is not positive definite "
                 "(for v_laplace and v_poisson, lam is past the stability bound)"
             )
         alpha = np.divide(rz, pAp, out=np.zeros_like(rz), where=pAp > 0)
         alphas.append(alpha)
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(alpha, p, out=t)
+        r -= np.multiply(alpha, Ap, out=t)
         rel = float(np.linalg.norm(r)) / bnorm
         if rel <= tol:
             return x, iterations, rel, True, (alphas, betas)
-        z = r / diag[:, None]
+        np.divide(r, D, out=z)
         if project is not None:
             z = project(z)
         rz_new = np.einsum("ij,ij->j", r, z)
         beta = np.divide(rz_new, rz, out=np.zeros_like(rz), where=np.abs(rz) > 0)
         betas.append(beta)
-        p = z + beta * p
+        p *= beta
+        p += z
         rz = rz_new
     return x, max_iter, rel, False, (alphas, betas)
 
@@ -204,8 +207,7 @@ def estimate_stability_limit(g: Graph) -> float:
     degree, and lies within 1% above lambda_2.  Returns 0.0 on a
     disconnected graph, where lambda_2 vanishes.
     """
-    ncomp, _ = csgraph.connected_components(g.adjacency, directed=False)
-    if ncomp != 1:
+    if g.components[0] != 1:
         return 0.0
     b = np.cos(1.3 * np.arange(g.n) + 0.9)[:, None]
     b -= b.mean()  # in the range of L, like every poisson source
@@ -248,17 +250,17 @@ class _System:
     def matvec(self, v):
         Av = self.A @ v
         if self.coupling is not None:
-            Av += self.lam * np.outer(self.coupling, self.coupling @ v)
+            Av += self.lam * np.einsum("i,j->ij", self.coupling, self.coupling @ v)
         if self.q is not None:
             # remove the constraint-multiplier direction from the range side
-            Av -= self.q[:, None] * Av.sum(axis=0)
+            Av -= np.einsum("i,j->ij", self.q, np.einsum("ij->j", Av))
         return Av
 
     @property
     def project(self):
         q = self.q
-        # keep iterates in the zero q-mean subspace
-        return None if q is None else lambda v: v - q @ v
+        # keep iterates in the zero q-mean subspace, in place
+        return None if q is None else lambda v: np.subtract(v, q @ v, out=v)
 
     def result(self, x, iterations, final_residual, converged) -> SolveResult:
         u = x
@@ -282,7 +284,7 @@ def _assemble(g: Graph, labels: LabelSet, cfg: SolverConfig) -> _System:
         raise InvalidInputError(
             f"labeled node {labels.nodes.max()} does not exist in a {g.n}-node graph"
         )
-    ncomp, comp = csgraph.connected_components(g.adjacency, directed=False)
+    ncomp, comp = g.components
     lam = cfg.lam if cfg.method in ("v_laplace", "v_poisson") else 0.0
     q = g.degree_weights
     il = labels.nodes

@@ -162,6 +162,16 @@ class TestSolve:
         assert not out.exists()
         assert not (tmp_path / "p.txt.json").exists()
 
+    def test_tol_below_machine_epsilon_is_usage_error(self, k3, tmp_path, capsys):
+        graph, labels = k3
+        out = tmp_path / "p.txt"
+        code = main(["solve", "--graph", str(graph), "--labels", str(labels),
+                     "--method", "v_poisson", "--tol", "1e-17", "--out", str(out)])
+        assert code == 2
+        assert "machine epsilon" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "p.txt.json").exists()
+
     def test_unknown_flag_rejected(self, path3, capsys):
         graph, labels = path3
         code = main(["solve", "--graph", str(graph), "--labels", str(labels),

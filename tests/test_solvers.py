@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import eigh, null_space
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import cg as sparse_cg
 
 from helpers import random_connected_graph, random_label_set
@@ -49,6 +50,8 @@ class TestConfig:
             dict(lam=-0.1), dict(tol=0.0), dict(max_iter=0), dict(method="jacobi"),
             dict(lam=float("nan")), dict(lam=float("inf")),
             dict(tol=float("nan")), dict(tol=float("inf")),
+            # below what double precision can reach
+            dict(tol=1e-17), dict(tol=0.5 * np.finfo(float).eps),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -246,6 +249,16 @@ class TestVLaplace:
         with pytest.raises(DivergenceError):
             solve(g, ls, SolverConfig(lam=1e6, method="v_laplace"))
 
+    def test_past_coupled_bound_diverges_by_curvature(self):
+        # the coupled operator loses definiteness at ~55.1 while the Jacobi
+        # diagonal stays positive (its minimum is ~0.86 at lam=60), so the
+        # raise comes from the curvature test inside the PCG
+        g = random_connected_graph(7000, 40)
+        ls = random_label_set(0, 40, 2, 1)
+        with pytest.raises(DivergenceError, match="negative curvature"):
+            solve(g, ls, SolverConfig(method="v_laplace", lam=60.0))
+        assert solve(g, ls, SolverConfig(method="v_laplace", lam=50.0)).converged
+
     def test_converges_below_dirichlet_bound(self):
         # lambda_min of (L_uu, diag q_u) is ~5.62 here, so L_uu - lam diag(q_u)
         # is definite at lam=4; the coupled operator stays definite up to ~55.1
@@ -411,6 +424,24 @@ class TestSharedProperties:
             assert np.array_equal(r1.u, r2.u)
             assert r1.iterations == r2.iterations
             assert r1.final_residual == r2.final_residual
+
+    def test_cached_graph_invariants_survive_solves(self):
+        # every solve reads the Laplacian and component labels a graph caches,
+        # so none of them may write into those arrays
+        g = random_connected_graph(61, 30)
+        ls = random_label_set(61, 30, 2, 2)
+        L = g.laplacian_matrix()
+        for lam in (0.0, 5.0):
+            for method in ("laplace", "poisson", "v_laplace", "v_poisson"):
+                solve(g, ls, SolverConfig(lam=lam, method=method))
+        assert g.laplacian_matrix() is L
+        assert (L - (sparse.diags(g.degrees) - g.adjacency)).count_nonzero() == 0
+        ncomp, comp = csgraph.connected_components(g.adjacency, directed=False)
+        assert g.components[0] == ncomp
+        assert np.array_equal(g.components[1], comp)
+        coo = g.adjacency.tocoo()
+        twin = graph_from_edges(g.n, coo.row, coo.col, coo.data)
+        assert twin.laplacian_matrix() is not L
 
     @pytest.mark.parametrize("method", ["laplace", "poisson", "v_poisson"])
     def test_permutation_equivariance(self, method):
