@@ -24,8 +24,10 @@ from .data import (
     derive_trial_seed,
     load_feature_dataset,
     load_graph_dataset,
+    read_edgelist,
     sample_label_set,
     with_knn_graph,
+    write_edgelist,
 )
 from .graph import (
     Graph,
@@ -34,10 +36,8 @@ from .graph import (
     graph_from_edges,
     laplacian_apply,
     objective_value,
-    read_edgelist,
     variance,
     weighted_mean,
-    write_edgelist,
 )
 from .solvers import (
     METHODS,

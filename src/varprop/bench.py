@@ -6,7 +6,7 @@ would inflate the clamping methods).  Trial seeds derive from
 (base_seed, trial index), so reports are independent of execution order.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -112,17 +112,8 @@ def run_trials(
 
 
 def report_to_dict(report: TrialReport) -> dict:
-    return {
-        "dataset": report.dataset,
-        "method": report.method,
-        "labels_per_class": report.labels_per_class,
-        "trials": report.trials,
-        "mean": report.mean,
-        "std": report.std,
-        "accuracies": list(report.accuracies),
-        "failures": report.failures,
-        "seeds": list(report.seeds),
-    }
+    """Every field of ``report``, with the tuples as lists, ready for JSON."""
+    return {**asdict(report), "accuracies": list(report.accuracies), "seeds": list(report.seeds)}
 
 
 def _cell(report: TrialReport) -> str:

@@ -20,9 +20,11 @@ from .continuum import (
 from .data import (
     load_feature_dataset,
     load_graph_dataset,
+    read_edgelist,
     read_feature_csv,
     read_labeled_nodes,
     with_knn_graph,
+    write_edgelist,
 )
 from .errors import (
     DivergenceError,
@@ -35,7 +37,7 @@ from .errors import (
     OracleSizeError,
     ScanError,
 )
-from .graph import build_knn_graph, objective_value, read_edgelist, write_edgelist
+from .graph import build_knn_graph, objective_value
 from .solvers import METHODS, SolverConfig, predict, solve
 
 EXIT_OK = 0
@@ -62,11 +64,13 @@ def _positive_int(text):
     return value
 
 
-def _grid_size(text):
-    value = int(text)
-    if value < 16:
-        raise argparse.ArgumentTypeError(f"grid must be at least 16, got {text}")
-    return value
+def _add_solver_options(p):
+    """--lambda, --tol and --max-iter, with the defaults of SolverConfig()."""
+    defaults = SolverConfig()
+    p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
+                   help=f"variance weight (default {defaults.lam:g})")
+    p.add_argument("--tol", type=float, default=defaults.tol)
+    p.add_argument("--max-iter", type=_positive_int, default=defaults.max_iter)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,10 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True,
                    help="labeled-node file: one 'node class' pair per line")
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1,
-                   help="variance weight (default 0.1)")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=_positive_int, default=10000)
+    _add_solver_options(p)
     p.add_argument("--out", required=True,
                    help="predictions output, one class per line; JSON sidecar at OUT.json")
     p.set_defaults(func=_cmd_solve)
@@ -108,15 +109,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated labeled-node counts per class")
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=_positive_int, default=10000)
+    _add_solver_options(p)
     p.add_argument("--out", help="JSON report path")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("verify-pde", help="1-D discretization consistency checks")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--grid", type=_grid_size, required=True)
+    p.add_argument("--grid", type=int, required=True,
+                   help="grid points, at least 16; refined to 2*GRID-1, which --lambda bounds")
     p.add_argument("--csv", help="optional CSV of (x, value, residual)")
     p.set_defaults(func=_cmd_verify_pde)
 
@@ -136,15 +136,13 @@ def _cmd_build_graph(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    cfg = SolverConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter, method=args.method)
     g = read_edgelist(args.graph)
     labels = read_labeled_nodes(args.labels)
-    cfg = SolverConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter, method=args.method)
     result = solve(g, labels, cfg)
     predictions = predict(result.u)
     with open(args.out, "w") as fh:
         fh.write("\n".join(str(int(c)) for c in predictions) + "\n")
-    # laplace and poisson solve their systems without the variance term
-    solved_lam = args.lam if args.method.startswith("v_") else 0.0
     sidecar = {
         "flags": {
             "graph": args.graph,
@@ -158,7 +156,7 @@ def _cmd_solve(args) -> int:
         "iterations": result.iterations,
         "final_residual": result.final_residual,
         "converged": result.converged,
-        "objective_value": objective_value(g, result.u, solved_lam),
+        "objective_value": objective_value(g, result.u, cfg.variance_weight),
     }
     with open(args.out + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -189,11 +187,6 @@ def _parse_methods(text: str):
 
 
 def _cmd_bench(args) -> int:
-    if args.dataset_features:
-        ds = load_feature_dataset(args.dataset_features, args.dataset_labels)
-        ds = with_knn_graph(ds, args.knn_k)
-    else:
-        ds = load_graph_dataset(args.dataset_graph, args.dataset_labels)
     methods = _parse_methods(args.methods)
     try:
         m_values = [int(v) for v in args.labels_per_class.split(",") if v.strip()]
@@ -204,6 +197,11 @@ def _cmd_bench(args) -> int:
     if not m_values:
         raise InvalidParameterError("no labels-per-class values given")
     cfg = SolverConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter)
+    if args.dataset_features:
+        ds = load_feature_dataset(args.dataset_features, args.dataset_labels)
+        ds = with_knn_graph(ds, args.knn_k)
+    else:
+        ds = load_graph_dataset(args.dataset_graph, args.dataset_labels)
     reports = [
         run_trials(ds, method, m, args.trials, args.seed, cfg)
         for method in methods

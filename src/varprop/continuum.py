@@ -16,9 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as dense_linalg
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import InvalidParameterError, ScanError
+from .graph import graph_from_edges
 
 __all__ = [
     "ContinuumConfig",
@@ -34,10 +35,17 @@ __all__ = [
 ]
 
 
+# Least ratio lam^2 h^4 / (48 eps max(1, sqrt(lam))) of the residual's truncation
+# term lam^2 h^2 / 12 to its rounding floor, about 4 eps max(1, sqrt(lam)) / h^2.
+# Swept over lam in [0.001, 1000], refinement failed below 1.49 and gave 3.58-4 above 2.
+_RESOLUTION = 2.0
+
+
 @dataclass(frozen=True)
 class ContinuumConfig:
     """Grid size and equation weight for the 1-D checks, which sample the
-    uniform density on [0, 1]."""
+    uniform density on [0, 1].  ``n_grid`` runs from 16 up to the largest
+    grid whose O(h^2) residual double precision resolves at this ``lam``."""
 
     n_grid: int
     lam: float
@@ -47,6 +55,13 @@ class ContinuumConfig:
             raise InvalidParameterError("n_grid must be >= 16")
         if not 0 < self.lam < math.inf:  # NaN fails too
             raise InvalidParameterError(f"lam must be finite and > 0, got {self.lam}")
+        scale = 48.0 * np.finfo(np.float64).eps * max(1.0, math.sqrt(self.lam))
+        n_max = math.floor((self.lam**2 / (_RESOLUTION * scale)) ** 0.25) + 1
+        if self.n_grid > n_max:
+            raise InvalidParameterError(
+                f"n_grid={self.n_grid} is too fine for double precision at lam={self.lam:g}; "
+                f"the largest n_grid accepted is {n_max}"
+            )
 
 
 @dataclass(frozen=True)
@@ -104,36 +119,23 @@ def ode_residual_check(cfg: ContinuumConfig) -> ResidualStats:
 def residual_refinement_ratio(cfg: ContinuumConfig) -> RefinementReport:
     """Residual ratio between spacing h and exactly h/2; second order gives ~4."""
     coarse = ode_residual_check(cfg)
-    fine_cfg = ContinuumConfig(n_grid=2 * cfg.n_grid - 1, lam=cfg.lam)
-    fine = ode_residual_check(fine_cfg)
+    fine = ode_residual_check(ContinuumConfig(n_grid=2 * cfg.n_grid - 1, lam=cfg.lam))
     return RefinementReport(coarse=coarse, fine=fine, ratio=coarse.max_residual / fine.max_residual)
 
 
-def _path_laplacian(n: int) -> np.ndarray:
-    main = np.full(n, 2.0)
-    main[0] = main[-1] = 1.0
-    off = -np.ones(n - 1)
-    return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-
-
 def _fit_sinusoid(x, v, omega0):
-    def evaluate(w):
+    """Frequency in [omega0/2, 3 omega0/2] of the best cos/sin fit of ``v``, and that fit."""
+    # at module level scipy.optimize adds ~14 MB and 0.2 s to every import of varprop
+    from scipy.optimize import minimize_scalar
+
+    def fit(w):
         basis = np.column_stack([np.cos(w * x), np.sin(w * x)])
         coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
-        fit = basis @ coef
-        return fit, float(np.sum((fit - v) ** 2))
+        return basis @ coef
 
-    lo, hi = 0.5 * omega0, 1.5 * omega0
-    best_w, best_fit, best_sse = omega0, None, np.inf
-    for _ in range(3):
-        grid = np.linspace(lo, hi, 801)
-        for w in grid:
-            fit, sse = evaluate(w)
-            if sse < best_sse:
-                best_w, best_fit, best_sse = float(w), fit, sse
-        step = (hi - lo) / 800.0
-        lo, hi = best_w - 2 * step, best_w + 2 * step
-    return best_w, best_fit
+    best = minimize_scalar(lambda w: float(np.sum((fit(w) - v) ** 2)), method="bounded",
+                           bounds=(0.5 * omega0, 1.5 * omega0), options={"xatol": 1e-10})
+    return float(best.x), fit(best.x)
 
 
 def _pearson(a, b) -> float:
@@ -148,24 +150,24 @@ def _pearson(a, b) -> float:
 def discrete_vs_continuum(cfg: ContinuumConfig) -> PathGraphReport:
     """Match the first nontrivial path-graph eigenvector to a fitted sinusoid.
 
-    Builds a unit-weight path graph on cfg.n_grid nodes, finds the smallest
-    positive shift making L - shift*diag(q) singular via a dense generalized
-    eigensolve, least-squares fits the corresponding null vector with a
-    cos/sin pair over a scanned frequency range, and reports the Pearson
-    correlation between vector and fit along with the fitted continuum
-    eigenvalue (the squared frequency).
+    Builds a unit-weight path graph on cfg.n_grid nodes and finds the
+    smallest positive shift making L - shift*diag(q) singular: the second
+    eigenpair of the tridiagonal pencil (L, diag q), solved in O(n) memory
+    after scaling by diag(q)^(-1/2).  It then least-squares fits the null
+    vector with a cos/sin pair, minimizing the fit error over a bounded
+    frequency range, and reports the Pearson correlation between vector and
+    fit along with the fitted continuum eigenvalue (the squared frequency).
     """
     n = cfg.n_grid
-    L = _path_laplacian(n)
-    degrees = L.diagonal().copy()
-    q = degrees / degrees.sum()
-    vals, vecs = dense_linalg.eigh(L, np.diag(q))
-    positive = np.flatnonzero(vals > 1e-9 * max(vals.max(), 1.0))
-    if positive.size == 0:
+    g = graph_from_edges(n, np.arange(n - 1), np.arange(1, n))
+    L = g.laplacian_matrix()
+    s = 1.0 / np.sqrt(g.degree_weights)
+    d, e = L.diagonal() * s * s, L.diagonal(1) * s[:-1] * s[1:]
+    vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(1, 1))
+    shift = float(vals[0])
+    if not shift > 0:
         raise ScanError("no positive shift with a singular system found in the spectrum")
-    j = int(positive[0])
-    shift = float(vals[j])
-    v = vecs[:, j]
+    v = s * vecs[:, 0]
     x = np.linspace(0.0, 1.0, n)
     h = x[1] - x[0]
     omega0 = math.sqrt(shift / h)
@@ -190,10 +192,11 @@ def write_residual_csv(cfg: ContinuumConfig, path) -> None:
 def format_report(refinement: RefinementReport, path_report: PathGraphReport) -> str:
     """Plain-text summary of both checks."""
     lines = [
-        f"ode residual  n={refinement.coarse.n_grid:<5d} h={refinement.coarse.h:.6g} "
-        f"max={refinement.coarse.max_residual:.6g} mean={refinement.coarse.mean_residual:.6g}",
-        f"ode residual  n={refinement.fine.n_grid:<5d} h={refinement.fine.h:.6g} "
-        f"max={refinement.fine.max_residual:.6g} mean={refinement.fine.mean_residual:.6g}",
+        f"ode residual  n={r.n_grid:<5d} h={r.h:.6g} "
+        f"max={r.max_residual:.6g} mean={r.mean_residual:.6g}"
+        for r in (refinement.coarse, refinement.fine)
+    ]
+    lines += [
         f"refinement ratio (expect ~4): {refinement.ratio:.4f}",
         f"path graph    n={path_report.n_grid} shift={path_report.shift:.6g} "
         f"fitted_lambda={path_report.fitted_lambda:.6g} "

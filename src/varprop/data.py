@@ -1,9 +1,9 @@
-"""Dataset ingestion and the seeded label sampler.
+"""Text file formats, dataset ingestion and the seeded label sampler.
 
-Feature datasets are CSV matrices (comma-separated floats, one row per
-sample, no header) plus a label file with one integer class per line.
-Graph datasets pair an edge-list file with the same label format.  The
-sampler draws a fixed number of labeled nodes per class with a
+Feature CSVs, label files, labeled-node files and edge lists are all read
+through one line reader: blank lines are skipped and line numbers count
+every line; only labeled-node files and edge lists skip ``#`` comments.
+The sampler draws a fixed number of labeled nodes per class with a
 counter-based 64-bit generator, so splits reproduce exactly on any
 platform.
 """
@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     FormatError,
@@ -21,7 +22,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .graph import Graph, LabelSet, build_knn_graph, read_edgelist
+from .graph import Graph, LabelSet, build_knn_graph, graph_from_edges
 
 __all__ = [
     "Dataset",
@@ -30,6 +31,8 @@ __all__ = [
     "read_feature_csv",
     "read_label_file",
     "read_labeled_nodes",
+    "read_edgelist",
+    "write_edgelist",
     "write_feature_csv",
     "write_label_file",
     "with_knn_graph",
@@ -125,6 +128,16 @@ class Dataset:
         return np.flatnonzero(self.true_labels == c)
 
 
+def _lines(path, comments=False):
+    """Yield ``(lineno, stripped text)`` of each nonblank line, numbering from 1
+    over every line; ``#`` lines are skipped only when ``comments`` is set."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if text and not (comments and text.startswith("#")):
+                yield lineno, text
+
+
 def read_feature_csv(path) -> np.ndarray:
     """Parse a headerless CSV of floats into an (n, d) float64 matrix.
 
@@ -144,31 +157,20 @@ def read_feature_csv(path) -> np.ndarray:
         if X.size and np.isfinite(X).all():
             return X
     # the line-by-line parse names the faulty line, and accepts whitespace-only lines
-    return _read_feature_lines(path)
-
-
-def _read_feature_lines(path) -> np.ndarray:
     rows = []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected {width} fields, found {len(parts)}"
-                )
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                raise FormatError(f"{path}: line {lineno}: non-numeric field") from None
-            if not all(math.isfinite(v) for v in values):
-                raise FormatError(f"{path}: line {lineno}: non-finite value")
-            rows.append(values)
+    for lineno, text in _lines(path):
+        parts = text.split(",")
+        if rows and len(parts) != len(rows[0]):
+            raise FormatError(
+                f"{path}: line {lineno}: expected {len(rows[0])} fields, found {len(parts)}"
+            )
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            raise FormatError(f"{path}: line {lineno}: non-numeric field") from None
+        if not all(math.isfinite(v) for v in values):
+            raise FormatError(f"{path}: line {lineno}: non-finite value")
+        rows.append(values)
     if not rows:
         raise FormatError(f"{path}: no data rows")
     return np.array(rows, dtype=np.float64)
@@ -177,18 +179,14 @@ def _read_feature_lines(path) -> np.ndarray:
 def read_label_file(path) -> np.ndarray:
     """Parse one integer class index per line."""
     labels = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = int(text)
-            except ValueError:
-                raise FormatError(f"{path}: line {lineno}: labels must be integers") from None
-            if value < 0:
-                raise FormatError(f"{path}: line {lineno}: negative label {value}")
-            labels.append(value)
+    for lineno, text in _lines(path):
+        try:
+            value = int(text)
+        except ValueError:
+            raise FormatError(f"{path}: line {lineno}: labels must be integers") from None
+        if value < 0:
+            raise FormatError(f"{path}: line {lineno}: negative label {value}")
+        labels.append(value)
     if not labels:
         raise FormatError(f"{path}: no labels found")
     return np.array(labels, dtype=np.int64)
@@ -197,27 +195,79 @@ def read_label_file(path) -> np.ndarray:
 def read_labeled_nodes(path) -> LabelSet:
     """Parse a labeled-node file: one ``node class`` pair per line, '#' comments."""
     entries = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected 'node class', found {len(parts)} fields"
-                )
-            try:
-                node, cls = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise FormatError(f"{path}: line {lineno}: non-integer field") from None
-            if node < 0 or cls < 0:
-                raise FormatError(f"{path}: line {lineno}: negative index")
-            entries.append((node, cls))
+    for lineno, text in _lines(path, comments=True):
+        parts = text.split()
+        if len(parts) != 2:
+            raise FormatError(
+                f"{path}: line {lineno}: expected 'node class', found {len(parts)} fields"
+            )
+        try:
+            node, cls = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise FormatError(f"{path}: line {lineno}: non-integer field") from None
+        if node < 0 or cls < 0:
+            raise FormatError(f"{path}: line {lineno}: negative index")
+        entries.append((node, cls))
     if not entries:
         raise FormatError(f"{path}: no labeled nodes found")
     k = max(c for _, c in entries) + 1
     return LabelSet(k=k, entries=tuple(entries))
+
+
+def read_edgelist(path, n=None) -> Graph:
+    """Read an undirected edge-list text file.
+
+    One edge per line as ``src dst weight`` with the weight optional
+    (default 1.0), 0-indexed, each edge listed once in either orientation;
+    lines starting with ``#`` and blank lines are ignored.  Self-loops are
+    dropped with a warning and duplicate edges merge by maximum weight.
+    When ``n`` is given, any endpoint >= n is a FormatError; otherwise n is
+    inferred as the largest endpoint + 1.
+    """
+    src, dst, wgt = [], [], []
+    for lineno, text in _lines(path, comments=True):
+        parts = text.split()
+        if len(parts) not in (2, 3):
+            raise FormatError(
+                f"{path}: line {lineno}: expected 'src dst [weight]', found {len(parts)} fields"
+            )
+        try:
+            i = int(parts[0])
+            j = int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise FormatError(f"{path}: line {lineno}: non-numeric field") from None
+        if i < 0 or j < 0:
+            raise FormatError(f"{path}: line {lineno}: negative node index")
+        if not np.isfinite(w) or w < 0:
+            raise FormatError(f"{path}: line {lineno}: weight must be finite and nonnegative")
+        if n is not None and (i >= n or j >= n):
+            raise FormatError(
+                f"{path}: line {lineno}: node index {max(i, j)} exceeds node count {n}"
+            )
+        if i == j:
+            warnings.warn(f"{path}: line {lineno}: self-loop on node {i} dropped")
+            continue
+        src.append(i)
+        dst.append(j)
+        wgt.append(w)
+    if not src:
+        raise FormatError(f"{path}: no edges found")
+    count = n if n is not None else max(max(src), max(dst)) + 1
+    return graph_from_edges(count, src, dst, wgt)
+
+
+def write_edgelist(g: Graph, path) -> None:
+    """Write the graph in the edge-list format read by :func:`read_edgelist`.
+
+    Each undirected edge appears once as ``i j weight`` with i < j, sorted,
+    and weights printed with full float64 precision.
+    """
+    coo = sparse.triu(g.adjacency, k=1).tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    with open(path, "w") as fh:
+        for i, j, w in zip(coo.row[order], coo.col[order], coo.data[order]):
+            fh.write(f"{i} {j} {w:.17g}\n")
 
 
 def _warn_on_empty_classes(labels: np.ndarray, k: int, name: str) -> None:

@@ -1,12 +1,12 @@
-"""Sparse weighted graphs, k-NN construction, and the discrete operators shared by all solvers.
+"""In-memory weighted graphs, k-NN construction, and the discrete operators shared by all solvers.
 
 Label functions are plain numpy arrays of shape (n, k): row i holds the k
 class scores of node i.  Every operator also accepts a 1-D array as the
-k = 1 case and returns a matching shape.
+k = 1 case and returns a matching shape.  The edge-list file format is
+read and written by ``varprop.data``.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .errors import FormatError, InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError
 
 __all__ = [
     "Graph",
@@ -25,8 +25,6 @@ __all__ = [
     "weighted_mean",
     "variance",
     "objective_value",
-    "read_edgelist",
-    "write_edgelist",
 ]
 
 
@@ -372,63 +370,3 @@ def objective_value(g: Graph, u, lam: float) -> float:
     mat, _ = _label_matrix(g, u)
     smooth = float(np.sum(mat * laplacian_apply(g, mat)))
     return smooth - float(lam) * variance(g, mat)
-
-
-def read_edgelist(path, n=None) -> Graph:
-    """Read an undirected edge-list text file.
-
-    One edge per line as ``src dst weight`` with the weight optional
-    (default 1.0), 0-indexed, each edge listed once in either orientation;
-    lines starting with ``#`` and blank lines are ignored.  Self-loops are
-    dropped with a warning and duplicate edges merge by maximum weight.
-    When ``n`` is given, any endpoint >= n is a FormatError; otherwise n is
-    inferred as the largest endpoint + 1.
-    """
-    src, dst, wgt = [], [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) not in (2, 3):
-                raise FormatError(
-                    f"{path}: line {lineno}: expected 'src dst [weight]', found {len(parts)} fields"
-                )
-            try:
-                i = int(parts[0])
-                j = int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError:
-                raise FormatError(f"{path}: line {lineno}: non-numeric field") from None
-            if i < 0 or j < 0:
-                raise FormatError(f"{path}: line {lineno}: negative node index")
-            if not np.isfinite(w) or w < 0:
-                raise FormatError(f"{path}: line {lineno}: weight must be finite and nonnegative")
-            if n is not None and (i >= n or j >= n):
-                raise FormatError(
-                    f"{path}: line {lineno}: node index {max(i, j)} exceeds node count {n}"
-                )
-            if i == j:
-                warnings.warn(f"{path}: line {lineno}: self-loop on node {i} dropped")
-                continue
-            src.append(i)
-            dst.append(j)
-            wgt.append(w)
-    if not src:
-        raise FormatError(f"{path}: no edges found")
-    count = n if n is not None else max(max(src), max(dst)) + 1
-    return graph_from_edges(count, src, dst, wgt)
-
-
-def write_edgelist(g: Graph, path) -> None:
-    """Write the graph in the edge-list format read by :func:`read_edgelist`.
-
-    Each undirected edge appears once as ``i j weight`` with i < j, sorted,
-    and weights printed with full float64 precision.
-    """
-    coo = sparse.triu(g.adjacency, k=1).tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for i, j, w in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{i} {j} {w:.17g}\n")

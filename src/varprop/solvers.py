@@ -13,11 +13,11 @@ LabelSet and a SolverConfig and return a SolveResult whose ``u`` is the
                zero-mean constraint sum_i q_i u_i = 0.
 ``v_laplace``  keeps the clamping but changes the unlabeled stationarity
                to Lu_i = lam * q_i * (u_i - ubar), with ubar the degree
-               weighted mean of u over all nodes.  Rewarding spread this
-               way counteracts the near-constant collapse of clamped
-               propagation at very low label rates.  Since
-               ubar = q_u^T u_u + q_l^T y is linear in the unknowns, this
-               is the single system
+               weighted mean of u over all nodes.  At the default
+               lam = 0.1 its desk accuracy equals laplace's; no run shows
+               yet that the rewarded spread counters collapse (ROADMAP
+               item 2).  Since ubar = q_u^T u_u + q_l^T y is linear in
+               the unknowns, this is the single system
                (L_uu - lam diag(q_u) + lam q_u q_u^T) u_u
                = -L_ul y - lam q_u (q_l^T y),
                whose matvec adds the rank-one coupling to the sparse
@@ -99,6 +99,11 @@ class SolverConfig:
             raise InvalidParameterError(
                 f"unknown method {self.method!r}; choose one of {METHODS}"
             )
+
+    @property
+    def variance_weight(self) -> float:
+        """Variance weight of the solved system: ``lam`` for the v_* methods, else 0.0."""
+        return self.lam if self.method in ("v_laplace", "v_poisson") else 0.0
 
 
 @dataclass(frozen=True)
@@ -285,7 +290,7 @@ def _assemble(g: Graph, labels: LabelSet, cfg: SolverConfig) -> _System:
             f"labeled node {labels.nodes.max()} does not exist in a {g.n}-node graph"
         )
     ncomp, comp = g.components
-    lam = cfg.lam if cfg.method in ("v_laplace", "v_poisson") else 0.0
+    lam = cfg.variance_weight
     q = g.degree_weights
     il = labels.nodes
     y = labels.onehot_matrix()

@@ -10,7 +10,9 @@ import pytest
 
 import varprop.cli as cli
 from varprop.cli import main
-from varprop.graph import objective_value, read_edgelist
+from varprop.data import read_edgelist, read_labeled_nodes
+from varprop.graph import objective_value
+from varprop.solvers import SolverConfig, solve
 
 
 @pytest.fixture
@@ -112,6 +114,20 @@ class TestSolve:
             "--method", "poisson", "--out", str(out),
         ]) == 0
         assert out.read_text() == "0\n1\n0\n"
+        capsys.readouterr()
+
+    def test_v_poisson_objective_uses_lambda(self, k3, tmp_path, capsys):
+        graph, labels = k3
+        out = tmp_path / "pred.txt"
+        assert main([
+            "solve", "--graph", str(graph), "--labels", str(labels),
+            "--method", "v_poisson", "--lambda", "0.5", "--out", str(out),
+        ]) == 0
+        sidecar = json.loads((tmp_path / "pred.txt.json").read_text())
+        g = read_edgelist(str(graph))
+        u = solve(g, read_labeled_nodes(str(labels)), SolverConfig(lam=0.5, method="v_poisson")).u
+        assert sidecar["objective_value"] == pytest.approx(objective_value(g, u, 0.5), abs=1e-12)
+        assert objective_value(g, u, 0.5) != pytest.approx(objective_value(g, u, 0.0))
         capsys.readouterr()
 
     def test_v_poisson_lambda_zero_matches_poisson(self, k3, tmp_path, capsys):
@@ -243,6 +259,33 @@ class TestBench:
         capsys.readouterr()
 
 
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--graph", "g", "--labels", "l", "--method", "laplace", "--out", "o"],
+        ["bench", "--dataset-graph", "g", "--dataset-labels", "l", "--methods", "laplace",
+         "--labels-per-class", "1"],
+    ])
+    def test_solver_defaults_come_from_config(self, argv):
+        args = cli._build_parser().parse_args(argv)
+        defaults = SolverConfig()
+        assert (args.lam, args.tol, args.max_iter) == (defaults.lam, defaults.tol, defaults.max_iter)
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--dataset-features", "f.csv", "--dataset-labels", "l.txt",
+         "--methods", "lapalce", "--labels-per-class", "1"],
+        ["solve", "--graph", "g", "--labels", "l", "--method", "laplace", "--tol", "nan",
+         "--out", "o"],
+    ])
+    def test_bad_flag_fails_before_any_file_is_read(self, argv, monkeypatch, capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a file was read before the flags were checked")
+
+        monkeypatch.setattr(cli, "load_feature_dataset", unexpected)
+        monkeypatch.setattr(cli, "read_edgelist", unexpected)
+        assert main(argv) == 2
+        capsys.readouterr()
+
+
 class TestVerifyPde:
     def test_passes_at_lambda4_grid128(self, capsys):
         assert main(["verify-pde", "--lambda", "4", "--grid", "128"]) == 0
@@ -257,6 +300,11 @@ class TestVerifyPde:
     def test_grid_below_minimum_is_usage_error(self, capsys):
         assert main(["verify-pde", "--lambda", "4", "--grid", "8"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("lam,grid", [("0.01", "256"), ("0.1", "512"), ("4", "3000"), ("4", "4096")])
+    def test_grid_past_double_precision_is_usage_error(self, lam, grid, capsys):
+        assert main(["verify-pde", "--lambda", lam, "--grid", grid]) == 2
+        assert "largest n_grid accepted" in capsys.readouterr().err
 
     def test_nan_lambda_is_usage_error(self, capsys):
         assert main(["verify-pde", "--lambda", "nan", "--grid", "64"]) == 2
@@ -279,17 +327,24 @@ class TestVerifyPde:
         assert "FAIL: sinusoid correlation" in capsys.readouterr().out
 
 
-def run_module(*args):
-    """Run ``python -m varprop`` with this checkout's ``src`` importable."""
+def run_python(*args):
+    """Run the interpreter with this checkout's ``src`` importable."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    return subprocess.run(
-        [sys.executable, "-m", "varprop", *args], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_module(*args):
+    """Run ``python -m varprop`` with this checkout's ``src`` importable."""
+    return run_python("-m", "varprop", *args)
 
 
 class TestEntryPoint:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        proc = run_python("-c", "import sys, varprop; print('scipy.optimize' in sys.modules)")
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
     def test_module_invocation(self):
         proc = run_module("verify-pde", "--lambda", "4", "--grid", "32")
         assert proc.returncode == 0

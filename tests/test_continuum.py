@@ -8,7 +8,7 @@ from varprop import (
     residual_refinement_ratio,
     second_difference,
 )
-from varprop.continuum import _path_laplacian, format_report, write_residual_csv
+from varprop.continuum import format_report, write_residual_csv
 from varprop.errors import InvalidParameterError
 from varprop.graph import graph_from_edges
 
@@ -26,6 +26,18 @@ class TestConfig:
     def test_non_finite_lambda(self, lam):
         with pytest.raises(InvalidParameterError, match="finite"):
             ContinuumConfig(n_grid=64, lam=lam)
+
+    @pytest.mark.parametrize(
+        "n_grid,lam,largest", [(511, 0.01, 262), (1023, 0.1, 828), (5999, 4.0, 4402)]
+    )
+    def test_grid_past_double_precision_rejected(self, n_grid, lam, largest):
+        with pytest.raises(InvalidParameterError, match=f"largest n_grid accepted is {largest}$"):
+            ContinuumConfig(n_grid=n_grid, lam=lam)
+        ContinuumConfig(n_grid=largest, lam=lam)
+
+    @pytest.mark.parametrize("n_grid,lam", [(128, 0.01), (1024, 1.0), (2048, 4.0)])
+    def test_resolvable_refinement_accepted(self, n_grid, lam):
+        assert 3.5 <= residual_refinement_ratio(ContinuumConfig(n_grid, lam)).ratio <= 4.5
 
 
 class TestSecondDifference:
@@ -46,8 +58,7 @@ class TestSecondDifference:
 
         lap = laplacian_apply(g, v)
         np.testing.assert_allclose(lap[1:-1], -h * h * second_difference(v, h), atol=1e-14)
-        dense = _path_laplacian(n) @ v
-        np.testing.assert_allclose(lap, dense, atol=1e-12)
+        np.testing.assert_allclose(lap, g.laplacian_matrix() @ v, atol=1e-12)
 
 
 class TestOdeResidual:
@@ -66,8 +77,8 @@ class TestOdeResidual:
 
 class TestPathGraphEigenvector:
     def test_plain_laplacian_null_space_is_constant(self):
-        L = _path_laplacian(64)
-        w, v = np.linalg.eigh(L)
+        L = graph_from_edges(64, list(range(63)), list(range(1, 64))).laplacian_matrix()
+        w, v = np.linalg.eigh(L.toarray())
         null = v[:, 0]
         assert abs(w[0]) <= 1e-12
         assert np.abs(null - null.mean()).max() <= 1e-8
@@ -83,6 +94,13 @@ class TestPathGraphEigenvector:
         assert abs(a.fitted_lambda - b.fitted_lambda) / b.fitted_lambda <= 0.05
         # the first interior mode of the second difference operator
         assert b.fitted_lambda == pytest.approx(np.pi**2, rel=0.01)
+
+    def test_analytic_mode_at_grid_2048(self):
+        # the pencil's second eigenvector samples cos(pi x) exactly
+        n = 2048
+        report = discrete_vs_continuum(ContinuumConfig(n_grid=n, lam=4.0))
+        assert report.shift == pytest.approx(2 * (n - 1) * (1 - np.cos(np.pi / (n - 1))), rel=1e-9)
+        assert report.fitted_lambda == pytest.approx(np.pi**2, rel=1e-6)
 
 
 class TestReportOutputs:

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varprop
+import varprop.data
 from varprop import (
     Dataset,
+    Graph,
     LabelSet,
     load_feature_dataset,
     load_graph_dataset,
@@ -15,9 +18,12 @@ from varprop import (
 )
 from varprop.data import (
     derive_trial_seed,
+    read_edgelist,
     read_feature_csv,
+    read_label_file,
     read_labeled_nodes,
     write_feature_csv,
+    write_edgelist,
     write_label_file,
 )
 from varprop.errors import (
@@ -26,7 +32,6 @@ from varprop.errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from varprop.graph import write_edgelist
 
 
 def make_dataset(labels, k=None):
@@ -123,6 +128,69 @@ class TestFeatureLoading:
         Y = read_feature_csv(tmp_path / "f.csv")
         assert Y.dtype == np.float64 and Y.shape == X.shape
         assert np.array_equal(Y.view(np.int64), X.view(np.int64))
+
+
+# Each text format: its reader, two valid lines, one line it rejects, and
+# whether it skips '#' comment lines.
+FORMATS = {
+    "feature csv": (read_feature_csv, ("1,2", "3,4"), "x,2", False),
+    "label file": (read_label_file, ("1", "0"), "x", False),
+    "labeled nodes": (read_labeled_nodes, ("0 1", "1 0"), "x 1", True),
+    "edge list": (read_edgelist, ("0 1", "1 2"), "x 1", True),
+}
+
+
+def _comparable(parsed):
+    if isinstance(parsed, Graph):
+        return parsed.adjacency.toarray()
+    if isinstance(parsed, LabelSet):
+        return np.array(parsed.entries)
+    return parsed
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+class TestLineReader:
+    def test_error_line_counts_blank_and_whitespace_lines(self, tmp_path, fmt):
+        reader, good, bad, _ = FORMATS[fmt]
+        f = tmp_path / "in.txt"
+        f.write_text(f"{good[0]}\n\n  \n{bad}")
+        with pytest.raises(FormatError, match="line 4:"):
+            reader(f)
+
+    def test_comment_lines(self, tmp_path, fmt):
+        reader, good, _, skips_comments = FORMATS[fmt]
+        f = tmp_path / "in.txt"
+        f.write_text(f"{good[0]}\n# note\n{good[1]}\n")
+        if skips_comments:
+            plain = tmp_path / "plain.txt"
+            plain.write_text(f"{good[0]}\n{good[1]}\n")
+            np.testing.assert_array_equal(_comparable(reader(f)), _comparable(reader(plain)))
+        else:
+            with pytest.raises(FormatError, match="line 2:"):
+                reader(f)
+
+    def test_crlf_parses_like_lf(self, tmp_path, fmt):
+        reader, good, _, _ = FORMATS[fmt]
+        text = f"{good[0]}\n\n{good[1]}\n"
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        np.testing.assert_array_equal(_comparable(reader(crlf)), _comparable(reader(lf)))
+
+
+def test_public_names_pinned():
+    assert varprop.read_edgelist is varprop.data.read_edgelist
+    assert varprop.write_edgelist is varprop.data.write_edgelist
+    assert sorted(varprop.__all__) == [
+        "ContinuumConfig", "Dataset", "Graph", "LabelSet", "METHODS", "PathGraphReport",
+        "RefinementReport", "ResidualStats", "SolveResult", "SolverConfig", "TrialReport",
+        "accuracy_on_unlabeled", "build_knn_graph", "dense_oracle_solve", "derive_trial_seed",
+        "discrete_vs_continuum", "emit_table", "estimate_stability_limit", "graph_from_edges",
+        "laplacian_apply", "load_feature_dataset", "load_graph_dataset", "make_cluster_dataset",
+        "objective_value", "ode_residual_check", "predict", "read_edgelist",
+        "residual_refinement_ratio", "run_trials", "sample_label_set", "second_difference",
+        "solve", "variance", "weighted_mean", "with_knn_graph", "write_edgelist",
+    ]
 
 
 class TestGraphLoading:
