@@ -2,7 +2,9 @@
 """Generate the synthetic flattened-pixel dataset as CSV + label files.
 
 Writes features.csv and labels.txt into --out-dir, ready for
-``varprop bench --dataset-features ... --dataset-labels ...``.
+``varprop bench --dataset-features ... --dataset-labels ...``.  The data
+are ``make_cluster_dataset``: 10 classes of 16x16 patches from a fixed
+seed, so only the sample count is settable.
 """
 
 import argparse
@@ -11,32 +13,22 @@ from pathlib import Path
 from varprop.data import write_feature_csv, write_label_file
 from varprop.synth import make_cluster_dataset
 
+N_CLASSES = 10
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", required=True)
     parser.add_argument("--samples", type=int, default=2000)
-    parser.add_argument("--classes", type=int, default=10)
-    parser.add_argument("--side", type=int, default=16, help="patch side length in pixels")
-    parser.add_argument("--noise", type=float, default=0.5)
-    parser.add_argument("--blend-fraction", type=float, default=0.12)
-    parser.add_argument("--seed", type=int, default=20240501)
     args = parser.parse_args()
 
-    X, labels = make_cluster_dataset(
-        n_samples=args.samples,
-        n_classes=args.classes,
-        side=args.side,
-        noise=args.noise,
-        blend_fraction=args.blend_fraction,
-        seed=args.seed,
-    )
+    X, labels = make_cluster_dataset(n_samples=args.samples, n_classes=N_CLASSES)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_feature_csv(out / "features.csv", X)
     write_label_file(out / "labels.txt", labels)
     print(f"wrote {X.shape[0]} samples x {X.shape[1]} pixels to {out}/features.csv")
-    print(f"wrote labels for {args.classes} classes to {out}/labels.txt")
+    print(f"wrote labels for {N_CLASSES} classes to {out}/labels.txt")
 
 
 if __name__ == "__main__":

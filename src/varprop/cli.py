@@ -168,34 +168,44 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _unique(values, name: str):
+    """``values`` in first-seen order; repeats are dropped with a warning."""
+    kept, repeats = [], []
+    for v in values:
+        (repeats if v in kept else kept).append(v)
+    if repeats:
+        print(f"warning: duplicate {name}(s) removed: {','.join(map(str, repeats))}",
+              file=sys.stderr)
+    return kept
+
+
 def _parse_methods(text: str):
     requested = [m.strip() for m in text.split(",") if m.strip()]
     if not requested:
         raise InvalidParameterError("no methods given")
-    methods = []
-    duplicates = []
     for m in requested:
         if m not in METHODS:
             raise InvalidParameterError(f"unknown method {m!r}; choose from {METHODS}")
-        if m in methods:
-            duplicates.append(m)
-        else:
-            methods.append(m)
-    if duplicates:
-        print(f"warning: duplicate method(s) removed: {','.join(duplicates)}", file=sys.stderr)
-    return methods
+    return _unique(requested, "method")
+
+
+def _parse_labels_per_class(text: str):
+    try:
+        requested = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise InvalidParameterError(
+            f"--labels-per-class must be comma-separated integers, got {text!r}"
+        ) from None
+    if not requested:
+        raise InvalidParameterError("no labels-per-class values given")
+    if min(requested) < 1:
+        raise InvalidParameterError(f"--labels-per-class values must be >= 1, got {text!r}")
+    return _unique(requested, "labels-per-class value")
 
 
 def _cmd_bench(args) -> int:
     methods = _parse_methods(args.methods)
-    try:
-        m_values = [int(v) for v in args.labels_per_class.split(",") if v.strip()]
-    except ValueError:
-        raise InvalidParameterError(
-            f"--labels-per-class must be comma-separated integers, got {args.labels_per_class!r}"
-        ) from None
-    if not m_values:
-        raise InvalidParameterError("no labels-per-class values given")
+    m_values = _parse_labels_per_class(args.labels_per_class)
     cfg = SolverConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter)
     if args.dataset_features:
         ds = load_feature_dataset(args.dataset_features, args.dataset_labels)

@@ -39,13 +39,20 @@ __all__ = [
 # term lam^2 h^2 / 12 to its rounding floor, about 4 eps max(1, sqrt(lam)) / h^2.
 # Swept over lam in [0.001, 1000], refinement failed below 1.49 and gave 3.58-4 above 2.
 _RESOLUTION = 2.0
+# Largest sqrt(lam) * h on the coarse grid: past it the grid does not resolve
+# cos(sqrt(lam) x), the h^2 term does not lead the residual yet, and refinement
+# failed on a correct stencil (every failing pair of a sweep over lam in
+# [0.001, 1e4] had sqrt(lam) * h >= 2.31).
+_MAX_PHASE_STEP = 2.0
 
 
 @dataclass(frozen=True)
 class ContinuumConfig:
     """Grid size and equation weight for the 1-D checks, which sample the
-    uniform density on [0, 1].  ``n_grid`` runs from 16 up to the largest
-    grid whose O(h^2) residual double precision resolves at this ``lam``."""
+    uniform density on [0, 1].  ``n_grid`` runs from 16, or from the
+    coarsest grid with sqrt(lam) * h <= 2 if that is larger, up to the
+    largest grid whose O(h^2) residual double precision resolves at this
+    ``lam``."""
 
     n_grid: int
     lam: float
@@ -55,7 +62,14 @@ class ContinuumConfig:
             raise InvalidParameterError("n_grid must be >= 16")
         if not 0 < self.lam < math.inf:  # NaN fails too
             raise InvalidParameterError(f"lam must be finite and > 0, got {self.lam}")
-        scale = 48.0 * np.finfo(np.float64).eps * max(1.0, math.sqrt(self.lam))
+        root = math.sqrt(self.lam)
+        if root > _MAX_PHASE_STEP * (self.n_grid - 1):
+            n_min = math.ceil(root / _MAX_PHASE_STEP) + 1
+            raise InvalidParameterError(
+                f"n_grid={self.n_grid} is too coarse to resolve cos(sqrt(lam) x) at "
+                f"lam={self.lam:g}; the smallest n_grid accepted is {n_min}"
+            )
+        scale = 48.0 * np.finfo(np.float64).eps * max(1.0, root)
         n_max = math.floor((self.lam**2 / (_RESOLUTION * scale)) ** 0.25) + 1
         if self.n_grid > n_max:
             raise InvalidParameterError(
@@ -183,10 +197,8 @@ def discrete_vs_continuum(cfg: ContinuumConfig) -> PathGraphReport:
 def write_residual_csv(cfg: ContinuumConfig, path) -> None:
     """Write (x, value, residual) rows for the interior grid points."""
     x, v, resid = _cosine_residual(cfg)
-    with open(path, "w") as fh:
-        fh.write("x,value,residual\n")
-        for xi, vi, ri in zip(x[1:-1], v[1:-1], resid):
-            fh.write(f"{xi:.17g},{vi:.17g},{ri:.17g}\n")
+    np.savetxt(path, np.column_stack([x[1:-1], v[1:-1], resid]), fmt="%.17g", delimiter=",",
+               header="x,value,residual", comments="")
 
 
 def format_report(refinement: RefinementReport, path_report: PathGraphReport) -> str:

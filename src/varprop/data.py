@@ -265,9 +265,7 @@ def write_edgelist(g: Graph, path) -> None:
     """
     coo = sparse.triu(g.adjacency, k=1).tocoo()
     order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for i, j, w in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{i} {j} {w:.17g}\n")
+    np.savetxt(path, np.column_stack([coo.row, coo.col, coo.data])[order], fmt="%d %d %.17g")
 
 
 def _warn_on_empty_classes(labels: np.ndarray, k: int, name: str) -> None:
@@ -310,16 +308,13 @@ def load_graph_dataset(edges_path, labels_path, name: str = None) -> Dataset:
 
 
 def write_feature_csv(path, features) -> None:
-    X = np.asarray(features, dtype=np.float64)
-    with open(path, "w") as fh:
-        for row in X:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    """Write an (n, d) matrix as a headerless CSV, floats at full precision."""
+    np.savetxt(path, np.asarray(features, dtype=np.float64), fmt="%.17g", delimiter=",")
 
 
 def write_label_file(path, labels) -> None:
-    with open(path, "w") as fh:
-        for value in np.asarray(labels, dtype=np.int64):
-            fh.write(f"{value}\n")
+    """Write one integer class index per line."""
+    np.savetxt(path, np.asarray(labels, dtype=np.int64), fmt="%d")
 
 
 def with_knn_graph(ds: Dataset, k_neighbors: int) -> Dataset:

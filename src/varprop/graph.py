@@ -140,15 +140,6 @@ class LabelSet:
     def classes(self) -> np.ndarray:
         return np.array([c for _, c in self.entries], dtype=np.int64)
 
-    def one_hot(self, node: int) -> np.ndarray:
-        """Unit target vector e_c for a labeled node."""
-        for i, c in self.entries:
-            if i == node:
-                e = np.zeros(self.k)
-                e[c] = 1.0
-                return e
-        raise InvalidInputError(f"node {node} is not labeled")
-
     def onehot_matrix(self) -> np.ndarray:
         """(l, k) matrix with one row per entry, aligned with ``nodes``."""
         y = np.zeros((len(self.entries), self.k))
@@ -159,8 +150,9 @@ class LabelSet:
 def graph_from_edges(n, src, dst, weight=None) -> Graph:
     """Build a Graph from undirected edge arrays.
 
-    Each edge may be listed in either orientation; exact duplicates are
-    merged by taking the maximum weight.  Self-loops are rejected.
+    Each edge may be listed in either orientation, or several times; all
+    copies of an edge, i->j and j->i alike, merge by their maximum weight.
+    Zero-weight edges are dropped.  Self-loops are rejected.
     """
     src = np.asarray(src, dtype=np.int64).ravel()
     dst = np.asarray(dst, dtype=np.int64).ravel()
@@ -210,8 +202,9 @@ def build_knn_graph(features, k_neighbors) -> Graph:
     with weight exp(-|x_i - x_j|^2 / (sigma_i sigma_j)), where sigma_i is
     the distance from x_i to its k_neighbors-th nearest neighbor.  Nodes
     with sigma_i = 0 (exact duplicates) fall back to the smallest positive
-    sigma over all nodes, or 1 if every sigma vanishes.  The result is
-    symmetrized with max(w_ij, w_ji), so every directed k-NN edge survives.
+    sigma over all nodes, or 1 if every sigma vanishes.  The directed edges
+    go through :func:`graph_from_edges`, which symmetrizes with
+    max(w_ij, w_ji), so every directed k-NN edge survives.
 
     The neighbor search is exact and deterministic: among equidistant
     candidates the lower index wins, so duplicate points always give the
@@ -243,19 +236,13 @@ def build_knn_graph(features, k_neighbors) -> Graph:
         )
 
     nbr, nbr_dist = _nearest(X, k)
-    rows = np.arange(n)
-
     sigma = nbr_dist[:, -1].copy()
     if np.any(sigma == 0):
         positive = sigma[sigma > 0]
         sigma[sigma == 0] = positive.min() if positive.size else 1.0
 
     w = np.exp(-(nbr_dist**2) / (sigma[:, None] * sigma[nbr]))
-    W = sparse.coo_matrix(
-        (w.ravel(), (np.repeat(rows, k), nbr.ravel())), shape=(n, n)
-    ).tocsr()
-    W = W.maximum(W.T)
-    return _finalize(n, W)
+    return graph_from_edges(n, np.repeat(np.arange(n), k), nbr, w)
 
 
 # Bytes for the temporaries of one block of rows in _nearest: the GEMM

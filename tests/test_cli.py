@@ -251,6 +251,23 @@ class TestBench:
         assert code == 0
         assert "100.0 (0.0)" in capsys.readouterr().out
 
+    def test_duplicate_labels_per_class_deduplicated_with_warning(self, bridged, tmp_path,
+                                                                  capsys):
+        edges, labels = bridged
+        out = tmp_path / "report.json"
+        code = main([
+            "bench", "--dataset-graph", str(edges), "--dataset-labels", str(labels),
+            "--methods", "laplace", "--labels-per-class", "1,1",
+            "--trials", "2", "--seed", "0", "--out", str(out),
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "duplicate labels-per-class value(s) removed: 1" in captured.err
+        assert captured.out.splitlines()[0].split() == ["method", "1"]
+        doc = json.loads(out.read_text())
+        assert doc["flags"]["labels_per_class"] == "1"
+        assert len(doc["reports"]) == 1
+
     def test_bad_labels_per_class_is_usage_error(self, bridged, capsys):
         edges, labels = bridged
         code = main(["bench", "--dataset-graph", str(edges), "--dataset-labels", str(labels),
@@ -275,6 +292,10 @@ class TestFlags:
          "--methods", "lapalce", "--labels-per-class", "1"],
         ["solve", "--graph", "g", "--labels", "l", "--method", "laplace", "--tol", "nan",
          "--out", "o"],
+        ["bench", "--dataset-features", "f.csv", "--dataset-labels", "l.txt",
+         "--methods", "laplace", "--labels-per-class", "0"],
+        ["bench", "--dataset-features", "f.csv", "--dataset-labels", "l.txt",
+         "--methods", "laplace", "--labels-per-class", "2,-1"],
     ])
     def test_bad_flag_fails_before_any_file_is_read(self, argv, monkeypatch, capsys):
         def unexpected(*args, **kwargs):
@@ -305,6 +326,17 @@ class TestVerifyPde:
     def test_grid_past_double_precision_is_usage_error(self, lam, grid, capsys):
         assert main(["verify-pde", "--lambda", lam, "--grid", grid]) == 2
         assert "largest n_grid accepted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam,grid", [("1500", "16"), ("2000", "16"), ("5000", "16"),
+                                          ("1e4", "43")])
+    def test_grid_too_coarse_for_lambda_is_usage_error(self, lam, grid, capsys):
+        assert main(["verify-pde", "--lambda", lam, "--grid", grid]) == 2
+        assert "smallest n_grid accepted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam,grid", [("400", "16"), ("1e4", "60")])
+    def test_large_lambda_on_resolving_grid_passes(self, lam, grid, capsys):
+        assert main(["verify-pde", "--lambda", lam, "--grid", grid]) == 0
+        capsys.readouterr()
 
     def test_nan_lambda_is_usage_error(self, capsys):
         assert main(["verify-pde", "--lambda", "nan", "--grid", "64"]) == 2
@@ -342,8 +374,10 @@ def run_module(*args):
 
 class TestEntryPoint:
     def test_import_leaves_scipy_optimize_unloaded(self):
-        proc = run_python("-c", "import sys, varprop; print('scipy.optimize' in sys.modules)")
-        assert proc.returncode == 0 and proc.stdout.strip() == "False"
+        # scipy.ndimage too: only verify-pde and the synthetic generator need them
+        proc = run_python("-c", "import sys, varprop; "
+                          "print([m in sys.modules for m in ('scipy.optimize', 'scipy.ndimage')])")
+        assert proc.returncode == 0 and proc.stdout.strip() == "[False, False]"
 
     def test_module_invocation(self):
         proc = run_module("verify-pde", "--lambda", "4", "--grid", "32")

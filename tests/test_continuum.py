@@ -35,6 +35,17 @@ class TestConfig:
             ContinuumConfig(n_grid=n_grid, lam=lam)
         ContinuumConfig(n_grid=largest, lam=lam)
 
+    @pytest.mark.parametrize(
+        "n_grid,lam,smallest", [(16, 1500.0, 21), (16, 2000.0, 24), (16, 5000.0, 37), (43, 1e4, 51)]
+    )
+    def test_grid_too_coarse_rejected(self, n_grid, lam, smallest):
+        with pytest.raises(InvalidParameterError, match=f"smallest n_grid accepted is {smallest}$"):
+            ContinuumConfig(n_grid=n_grid, lam=lam)
+        with pytest.raises(InvalidParameterError, match="too coarse"):
+            ContinuumConfig(n_grid=smallest - 1, lam=lam)
+        cfg = ContinuumConfig(n_grid=smallest, lam=lam)
+        assert 3.5 <= residual_refinement_ratio(cfg).ratio <= 4.5
+
     @pytest.mark.parametrize("n_grid,lam", [(128, 0.01), (1024, 1.0), (2048, 4.0)])
     def test_resolvable_refinement_accepted(self, n_grid, lam):
         assert 3.5 <= residual_refinement_ratio(ContinuumConfig(n_grid, lam)).ratio <= 4.5

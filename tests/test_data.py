@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 import varprop
 import varprop.data
 from varprop import (
+    ContinuumConfig,
     Dataset,
     Graph,
     LabelSet,
+    graph_from_edges,
     load_feature_dataset,
     load_graph_dataset,
     sample_label_set,
+    second_difference,
     with_knn_graph,
 )
+from varprop.continuum import write_residual_csv
 from varprop.data import (
     derive_trial_seed,
     read_edgelist,
@@ -263,6 +267,32 @@ class TestRoundTrip:
         ds2 = load_graph_dataset(tmp_path / "g.edges", tmp_path / "l.txt")
         assert (ds.graph.adjacency != ds2.graph.adjacency).nnz == 0
         np.testing.assert_array_equal(ds.true_labels, ds2.true_labels)
+
+    def test_writers_pin_bytes(self, tmp_path):
+        def g17(values):
+            return [f"{v:.17g}" for v in values]
+
+        X = np.array([[-0.0, 5e-324, 1e308], [0.1, 1 / 3, -2.5e-7]])
+        write_feature_csv(tmp_path / "f.csv", X)
+        assert (tmp_path / "f.csv").read_text() == "".join(",".join(g17(r)) + "\n" for r in X)
+        assert (tmp_path / "f.csv").read_text().startswith("-0,4.9406564584124654e-324,1e+308\n")
+
+        write_label_file(tmp_path / "l.txt", [0, 7, 123456])
+        assert (tmp_path / "l.txt").read_text() == "0\n7\n123456\n"
+
+        w = [0.1, 1 / 3, 2.5]
+        write_edgelist(graph_from_edges(3, [1, 2, 2], [0, 0, 1], w), tmp_path / "g.edges")
+        a, b, c = g17(w)
+        assert (tmp_path / "g.edges").read_text() == f"0 1 {a}\n0 2 {b}\n1 2 {c}\n"
+
+        cfg = ContinuumConfig(n_grid=16, lam=1.0)
+        write_residual_csv(cfg, tmp_path / "r.csv")
+        x = np.linspace(0.0, 1.0, 16)
+        v = np.cos(x)
+        r = second_difference(v, x[1] - x[0]) + v[1:-1]
+        lines = (tmp_path / "r.csv").read_text().splitlines(keepends=True)
+        assert lines[:2] == ["x,value,residual\n", ",".join(g17([x[1], v[1], r[0]])) + "\n"]
+        assert len(lines) == 15
 
 
 class TestSampler:
