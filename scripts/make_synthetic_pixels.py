@@ -11,6 +11,7 @@ import argparse
 from pathlib import Path
 
 from varprop.data import write_feature_csv, write_label_file
+from varprop.errors import InvalidParameterError
 from varprop.synth import make_cluster_dataset
 
 N_CLASSES = 10
@@ -22,7 +23,10 @@ def main():
     parser.add_argument("--samples", type=int, default=2000)
     args = parser.parse_args()
 
-    X, labels = make_cluster_dataset(n_samples=args.samples, n_classes=N_CLASSES)
+    try:
+        X, labels = make_cluster_dataset(n_samples=args.samples, n_classes=N_CLASSES)
+    except InvalidParameterError as exc:
+        parser.error(f"--samples: {exc}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_feature_csv(out / "features.csv", X)

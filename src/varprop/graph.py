@@ -32,16 +32,18 @@ __all__ = [
 class Graph:
     """Immutable undirected weighted graph in CSR form.
 
-    ``adjacency`` has sorted indices, an exactly symmetric value pattern and
-    a zero diagonal.  ``degrees[i]`` is the row sum of ``adjacency`` and
-    ``degree_weights`` are the degrees normalized to sum to one.  Each graph
-    builds its Laplacian and its component labels once, on first use.
-    Instances are safe to share between concurrent solver runs; treat every
-    field and every cached array as read-only.
+    ``adjacency`` is a ``scipy.sparse.csr_array`` with sorted indices, an
+    exactly symmetric value pattern, positive stored weights and a zero
+    diagonal.  ``degrees[i]`` is the row sum of ``adjacency`` and
+    ``degree_weights`` are the degrees normalized to sum to one.  Build one
+    with :func:`graph_from_edges` or :meth:`from_adjacency`, which apply the
+    same rules.  Each graph builds its Laplacian and its component labels
+    once, on first use.  Instances are safe to share between concurrent
+    solver runs; treat every field and every cached array as read-only.
     """
 
     n: int
-    adjacency: sparse.csr_matrix
+    adjacency: sparse.csr_array
     degrees: np.ndarray
     degree_weights: np.ndarray
 
@@ -49,13 +51,13 @@ class Graph:
     def edge_count(self) -> int:
         return self.adjacency.nnz // 2
 
-    def laplacian_matrix(self) -> sparse.csr_matrix:
+    def laplacian_matrix(self) -> sparse.csr_array:
         """Combinatorial Laplacian D - W as CSR, built on first use; read-only."""
         return self._laplacian
 
     @cached_property
-    def _laplacian(self) -> sparse.csr_matrix:
-        return (sparse.diags(self.degrees) - self.adjacency).tocsr()
+    def _laplacian(self) -> sparse.csr_array:
+        return (sparse.diags_array(self.degrees) - self.adjacency).tocsr()
 
     @cached_property
     def components(self):
@@ -64,42 +66,24 @@ class Graph:
 
     @classmethod
     def from_adjacency(cls, matrix) -> "Graph":
-        """Validate a symmetric nonnegative weight matrix and wrap it.
+        """Build a Graph from a symmetric weight matrix, dense or sparse.
 
-        Raises InvalidInputError on asymmetry, negative or non-finite
-        weights, self-loops, or isolated nodes.
+        Checks that the matrix is square, finite and symmetric, then passes
+        its stored nonzero entries to :func:`graph_from_edges`, which
+        rejects negative weights, self-loops and isolated nodes.  All of
+        these raise InvalidInputError; a 0 x 0 matrix raises
+        InvalidParameterError.
         """
-        W = sparse.csr_matrix(matrix, dtype=np.float64)
-        if W.shape[0] != W.shape[1]:
+        W = sparse.coo_array(matrix, dtype=np.float64)
+        if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise InvalidInputError(f"adjacency must be square, got shape {W.shape}")
-        if W.data.size and not np.all(np.isfinite(W.data)):
+        W.sum_duplicates()
+        if not np.all(np.isfinite(W.data)):
             raise InvalidInputError("adjacency contains non-finite weights")
-        if W.data.size and W.data.min() < 0:
-            raise InvalidInputError("edge weights must be nonnegative")
-        if np.any(W.diagonal() != 0):
-            raise InvalidInputError("self-loops are not allowed (nonzero diagonal)")
         if (W != W.T).nnz:
             raise InvalidInputError("adjacency must be symmetric")
-        return _finalize(W.shape[0], W)
-
-
-def _finalize(n: int, adjacency) -> Graph:
-    adjacency = adjacency.tocsr()
-    adjacency.eliminate_zeros()
-    adjacency.sort_indices()
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    if np.any(degrees == 0):
-        isolated = np.flatnonzero(degrees == 0)
-        raise InvalidInputError(
-            f"graph has {isolated.size} isolated node(s), e.g. node {isolated[0]}; "
-            "degree weights vanish there and propagation is ill-posed"
-        )
-    return Graph(
-        n=n,
-        adjacency=adjacency,
-        degrees=degrees,
-        degree_weights=degrees / degrees.sum(),
-    )
+        W.eliminate_zeros()
+        return graph_from_edges(W.shape[0], W.row, W.col, W.data)
 
 
 @dataclass(frozen=True)
@@ -148,11 +132,12 @@ class LabelSet:
 
 
 def graph_from_edges(n, src, dst, weight=None) -> Graph:
-    """Build a Graph from undirected edge arrays.
+    """Build a Graph from undirected edge arrays; every Graph is built here.
 
     Each edge may be listed in either orientation, or several times; all
     copies of an edge, i->j and j->i alike, merge by their maximum weight.
-    Zero-weight edges are dropped.  Self-loops are rejected.
+    Zero-weight edges are dropped.  Negative or non-finite weights,
+    self-loops and isolated nodes raise InvalidInputError.
     """
     src = np.asarray(src, dtype=np.int64).ravel()
     dst = np.asarray(dst, dtype=np.int64).ravel()
@@ -191,8 +176,20 @@ def graph_from_edges(n, src, dst, weight=None) -> Graph:
     rows = np.concatenate([ua, ub])
     cols = np.concatenate([ub, ua])
     vals = np.concatenate([merged, merged])
-    W = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    return _finalize(n, W)
+    adjacency = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+    degrees = adjacency.sum(axis=1)
+    if np.any(degrees == 0):
+        isolated = np.flatnonzero(degrees == 0)
+        raise InvalidInputError(
+            f"graph has {isolated.size} isolated node(s), e.g. node {isolated[0]}; "
+            "degree weights vanish there and propagation is ill-posed"
+        )
+    return Graph(
+        n=n,
+        adjacency=adjacency,
+        degrees=degrees,
+        degree_weights=degrees / degrees.sum(),
+    )
 
 
 def build_knn_graph(features, k_neighbors) -> Graph:

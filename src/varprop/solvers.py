@@ -16,7 +16,7 @@ LabelSet and a SolverConfig and return a SolveResult whose ``u`` is the
                weighted mean of u over all nodes.  At the default
                lam = 0.1 its desk accuracy equals laplace's; no run shows
                yet that the rewarded spread counters collapse (ROADMAP
-               item 2).  Since ubar = q_u^T u_u + q_l^T y is linear in
+               item 1).  Since ubar = q_u^T u_u + q_l^T y is linear in
                the unknowns, this is the single system
                (L_uu - lam diag(q_u) + lam q_u q_u^T) u_u
                = -L_ul y - lam q_u (q_l^T y),
@@ -24,9 +24,7 @@ LabelSet and a SolverConfig and return a SolveResult whose ``u`` is the
                shifted block.
 ``v_poisson``  adds the same variance term to the poisson system, giving
                (L - lam * diag(q)) u = source under the zero-mean
-               constraint (the constraint makes ubar vanish).  With
-               ``variance_on_labeled=False`` the diagonal shift applies at
-               unlabeled nodes only.
+               constraint (the constraint makes ubar vanish).
 
 Each method's system is assembled once, by ``_assemble``; ``solve`` runs
 one Jacobi-PCG on it and ``dense_oracle_solve`` factors it densely.
@@ -43,6 +41,7 @@ warn near it.  Breakdown raises DivergenceError.
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
@@ -76,16 +75,14 @@ _ORACLE_MAX_NODES = 500
 class SolverConfig:
     """Solver parameters: variance weight ``lam``, relative residual
     tolerance (at least machine epsilon), iteration cap and method selector.
-
-    ``variance_on_labeled`` only affects ``v_poisson``: when False the
-    diagonal variance shift is applied at unlabeled nodes only.
     """
 
     lam: float = 0.1
     tol: float = 1e-8
     max_iter: int = 10000
     method: str = "laplace"
-    variance_on_labeled: bool = True
+    # a constant, not a field: perfbench/checks.py still reads it
+    variance_on_labeled: ClassVar[bool] = True
 
     def __post_init__(self):
         # written so that NaN fails each check
@@ -232,7 +229,7 @@ class _System:
     Only v_laplace has the rank-one mean coupling, ``c = q_u``.
     """
 
-    A: sparse.csr_matrix
+    A: sparse.csr_array
     rhs: np.ndarray
     lam: float
     coupling: np.ndarray = None
@@ -313,7 +310,7 @@ def _assemble(g: Graph, labels: LabelSet, cfg: SolverConfig) -> _System:
             # L_uu u - lam q_u (u - ubar) = -L_ul y with ubar = q_u^T u + q_l^T y
             # moves the mean into the operator as the coupling lam q_u q_u^T
             coupling = q[iu]
-            A = (A - lam * sparse.diags(coupling)).tocsr()
+            A = (A - lam * sparse.diags_array(coupling)).tocsr()
             rhs -= lam * np.outer(coupling, q[il] @ y)
         return _System(A=A, rhs=rhs, lam=lam, coupling=coupling, free=iu, clamped=clamped)
 
@@ -332,10 +329,7 @@ def _assemble(g: Graph, labels: LabelSet, cfg: SolverConfig) -> _System:
         )
     A = g.laplacian_matrix()
     if lam > 0:
-        qmask = q.copy()
-        if not cfg.variance_on_labeled:
-            qmask[il] = 0.0
-        A = (A - lam * sparse.diags(qmask)).tocsr()
+        A = (A - lam * sparse.diags_array(q)).tocsr()
     return _System(A=A, rhs=source, lam=lam, q=q)
 
 

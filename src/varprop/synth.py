@@ -12,6 +12,8 @@ the same sizes returns the same data.
 
 import numpy as np
 
+from .errors import InvalidParameterError
+
 __all__ = ["make_cluster_dataset"]
 
 _SIDE = 16
@@ -38,10 +40,15 @@ def make_cluster_dataset(n_samples: int = 2000, n_classes: int = 10):
     Gaussian noise of sigma 0.5; 12% of the samples mix their own
     prototype with a second one (mixing weight drawn in [0.55, 0.8], so
     the original class stays dominant) to create inter-cluster bridges.
-    The random stream is seeded with 20240501.
+    The random stream is seeded with 20240501.  Raises
+    InvalidParameterError unless ``n_classes >= 2`` and ``n_samples`` is a
+    positive multiple of ``n_classes``.
     """
-    if n_samples % n_classes != 0:
-        raise ValueError("n_samples must be divisible by n_classes")
+    if n_classes < 2 or n_samples < n_classes or n_samples % n_classes:
+        raise InvalidParameterError(
+            "n_samples must be a positive multiple of n_classes >= 2, "
+            f"got n_samples={n_samples}, n_classes={n_classes}"
+        )
     rng = np.random.Generator(np.random.Philox(_SEED))
     protos = np.stack([_smooth_prototype(rng).ravel() for _ in range(n_classes)])
 

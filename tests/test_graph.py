@@ -139,6 +139,28 @@ class TestGraphValidation:
         with pytest.raises(InvalidInputError, match="finite"):
             Graph.from_adjacency(W)
 
+    def test_nan_reported_as_non_finite(self):
+        W = np.array([[0.0, np.nan], [np.nan, 0.0]])
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            Graph.from_adjacency(W)
+
+    def test_one_dimensional_matrix_rejected(self):
+        with pytest.raises(InvalidInputError, match="square"):
+            Graph.from_adjacency(np.array([0.0, 1.0]))
+
+    def test_edgeless_matrix_rejected(self):
+        with pytest.raises(InvalidInputError, match="at least one edge"):
+            Graph.from_adjacency(np.zeros((1, 1)))
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            Graph.from_adjacency(np.zeros((0, 0)))
+
+    def test_duplicate_stored_entries_add(self):
+        # a non-canonical sparse matrix: each off-diagonal entry stored twice
+        W = sparse.csr_matrix((np.full(4, 0.25), [1, 1, 0, 0], [0, 2, 4]), shape=(2, 2))
+        assert Graph.from_adjacency(W).adjacency[0, 1] == 0.5
+
     def test_duplicate_edges_merge_by_max(self):
         g = graph_from_edges(2, [0, 1, 0], [1, 0, 1], [0.5, 0.8, 0.2])
         assert g.adjacency[0, 1] == 0.8
@@ -147,6 +169,69 @@ class TestGraphValidation:
     def test_edge_self_loop_rejected(self):
         with pytest.raises(InvalidInputError, match="elf-loop"):
             graph_from_edges(2, [0, 0], [1, 0])
+
+
+# a 4-cycle with one chord; every builder below yields this graph or a k-NN one
+CHORDED_CYCLE = np.array(
+    [[0.0, 0.5, 0.75, 0.25], [0.5, 0.0, 1.0, 0.0], [0.75, 1.0, 0.0, 2.0], [0.25, 0.0, 2.0, 0.0]]
+)
+
+
+def _stored_zeros_matrix():
+    r, c = np.nonzero(CHORDED_CYCLE)
+    W = sparse.csr_matrix(
+        (np.r_[CHORDED_CYCLE[r, c], 0.0, 0.0, 0.0], (np.r_[r, 0, 3, 1], np.r_[c, 0, 3, 3])),
+        shape=(4, 4),
+    )
+    assert W.nnz == r.size + 3  # explicit zeros, two of them on the diagonal
+    return W
+
+
+def _via_edgelist(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("0 1 0.5\n1 2 1.0\n2 3 2.0\n3 0 0.25\n0 2 0.75\n")
+    return read_edgelist(path)
+
+
+BUILDERS = {
+    "graph_from_edges": lambda tmp_path: graph_from_edges(
+        4, [0, 1, 2, 3, 0], [1, 2, 3, 0, 2], [0.5, 1.0, 2.0, 0.25, 0.75]
+    ),
+    "from_adjacency_dense": lambda tmp_path: Graph.from_adjacency(CHORDED_CYCLE),
+    "from_adjacency_stored_zeros": lambda tmp_path: Graph.from_adjacency(_stored_zeros_matrix()),
+    "build_knn_graph": lambda tmp_path: build_knn_graph(
+        np.random.Generator(np.random.Philox(3)).normal(size=(30, 3)), 4
+    ),
+    "read_edgelist": _via_edgelist,
+}
+
+
+class TestOneBuildPath:
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_every_builder_gives_canonical_csr_array(self, builder, tmp_path):
+        g = BUILDERS[builder](tmp_path)
+        A = g.adjacency
+        assert isinstance(A, sparse.csr_array)
+        assert A.shape == (g.n, g.n)
+        assert A.has_canonical_format
+        assert (A != A.T).nnz == 0
+        assert np.all(A.diagonal() == 0)
+        assert np.all(A.data > 0)
+        np.testing.assert_allclose(g.degrees, A.toarray().sum(axis=1), rtol=1e-15)
+        if builder != "build_knn_graph":
+            assert np.array_equal(A.toarray(), CHORDED_CYCLE)
+
+    @pytest.mark.parametrize("as_input", [np.asarray, sparse.csr_matrix, sparse.csr_array])
+    def test_from_adjacency_is_graph_from_edges_on_upper_triangle(self, as_input):
+        W = random_connected_graph(5, 40).adjacency.toarray()
+        r, c = np.nonzero(np.triu(W))
+        a = Graph.from_adjacency(as_input(W))
+        b = graph_from_edges(40, r, c, W[r, c])
+        assert a.n == b.n
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a.adjacency, name), getattr(b.adjacency, name))
+        assert np.array_equal(a.degrees, b.degrees)
+        assert np.array_equal(a.degree_weights, b.degree_weights)
 
 
 class TestOperators:

@@ -4,8 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from varprop import Dataset, SolverConfig, make_cluster_dataset, run_trials, with_knn_graph
 from varprop.bench import report_to_dict
+from varprop.errors import InvalidParameterError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,3 +54,22 @@ class TestDeskBench:
             for method in ("laplace", "poisson", "v_laplace", "v_poisson")
         ]
         assert cells == expected
+
+
+class TestSyntheticPixels:
+    @pytest.mark.parametrize("samples", ["205", "-10", "0"])
+    def test_bad_sample_count_is_usage_error(self, tmp_path, samples):
+        out = tmp_path / "out"
+        proc = run_python(
+            str(ROOT / "scripts" / "make_synthetic_pixels.py"),
+            "--out-dir", str(out), "--samples", samples,
+        )
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr and "--samples" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_samples,n_classes", [(205, 10), (-10, 10), (0, 10), (20, 1), (10, 0)])
+    def test_generator_rejects_bad_sizes(self, n_samples, n_classes):
+        with pytest.raises(InvalidParameterError, match="positive multiple"):
+            make_cluster_dataset(n_samples=n_samples, n_classes=n_classes)
