@@ -1,8 +1,11 @@
 """Command-line front end: build-graph, solve, bench, and verify-pde subcommands.
 
 Exit codes: 0 success, 2 usage or file-format error, 3 ill-posed problem,
-4 divergence, 5 verification failure.  Every JSON output echoes the flags
-it was produced with.
+4 divergence, 5 verification failure.  Every flag value is checked before
+any file is read: argparse checks each flag's form, and the subcommand
+builds its config before it reads.  Every JSON output echoes the flags it
+was produced with, except that ``bench`` leaves out ``--out``, so that
+reruns written to different paths are byte-identical.
 """
 
 import argparse
@@ -25,6 +28,7 @@ from .data import (
     read_labeled_nodes,
     with_knn_graph,
     write_edgelist,
+    write_label_file,
 )
 from .errors import (
     DivergenceError,
@@ -46,22 +50,53 @@ EXIT_ILL_POSED = 3
 EXIT_DIVERGENCE = 4
 EXIT_VERIFY = 5
 
-_USAGE_ERRORS = (
-    FormatError,
-    InvalidInputError,
-    InvalidParameterError,
-    InsufficientLabelsError,
-    LayoutError,
-    OracleSizeError,
-    OSError,
-)
+# the exit code of each exception a subcommand may raise; any other propagates
+_EXIT_CODES = {
+    FormatError: EXIT_USAGE,
+    InvalidInputError: EXIT_USAGE,
+    InvalidParameterError: EXIT_USAGE,
+    InsufficientLabelsError: EXIT_USAGE,
+    LayoutError: EXIT_USAGE,
+    OracleSizeError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
+    IllPosedError: EXIT_ILL_POSED,
+    DivergenceError: EXIT_DIVERGENCE,
+    ScanError: EXIT_VERIFY,
+}
 
 
 def _positive_int(text):
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: rejected below
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
+
+
+def _method(text):
+    if text not in METHODS:
+        raise argparse.ArgumentTypeError(f"unknown method {text!r}; choose from {METHODS}")
+    return text
+
+
+def _comma_list(item, name):
+    """argparse type for a comma-separated list of ``item`` values.
+
+    Values keep their first-seen order; repeats are dropped with a warning.
+    """
+    def parse(text):
+        kept, repeats = [], []
+        for v in [item(part.strip()) for part in text.split(",") if part.strip()]:
+            (repeats if v in kept else kept).append(v)
+        if not kept:
+            raise argparse.ArgumentTypeError(f"no {name}s given")
+        if repeats:
+            print(f"warning: duplicate {name}(s) removed: {','.join(map(str, repeats))}",
+                  file=sys.stderr)
+        return kept
+    return parse
 
 
 def _add_solver_options(p):
@@ -103,9 +138,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset-labels", required=True, help="true labels, one per line")
     p.add_argument("--knn-k", type=_positive_int, default=10,
                    help="neighbors for the k-NN graph (feature datasets only)")
-    p.add_argument("--methods", required=True,
+    p.add_argument("--methods", required=True, type=_comma_list(_method, "method"),
                    help="comma-separated subset of " + ",".join(METHODS))
     p.add_argument("--labels-per-class", required=True,
+                   type=_comma_list(_positive_int, "labels-per-class value"),
                    help="comma-separated labeled-node counts per class")
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
@@ -135,32 +171,37 @@ def _cmd_build_graph(args) -> int:
     return EXIT_OK
 
 
+def _flags(args, *omit):
+    """The flags a JSON output echoes: every parsed option except ``omit``,
+    ``--lambda`` under its own name and list values joined by commas."""
+    flags = {}
+    for dest, value in vars(args).items():
+        if dest not in ("subcommand", "func", *omit):
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            flags["lambda" if dest == "lam" else dest] = value
+    return flags
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _cmd_solve(args) -> int:
     cfg = SolverConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter, method=args.method)
     g = read_edgelist(args.graph)
     labels = read_labeled_nodes(args.labels)
     result = solve(g, labels, cfg)
-    predictions = predict(result.u)
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(str(int(c)) for c in predictions) + "\n")
-    sidecar = {
-        "flags": {
-            "graph": args.graph,
-            "labels": args.labels,
-            "method": args.method,
-            "lambda": args.lam,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "out": args.out,
-        },
+    write_label_file(args.out, predict(result.u))
+    _write_json(args.out + ".json", {
+        "flags": _flags(args),
         "iterations": result.iterations,
         "final_residual": result.final_residual,
         "converged": result.converged,
         "objective_value": objective_value(g, result.u, cfg.variance_weight),
-    }
-    with open(args.out + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     print(
         f"method={args.method} converged={result.converged} "
         f"iterations={result.iterations} residual={result.final_residual:.3g}"
@@ -168,44 +209,7 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _unique(values, name: str):
-    """``values`` in first-seen order; repeats are dropped with a warning."""
-    kept, repeats = [], []
-    for v in values:
-        (repeats if v in kept else kept).append(v)
-    if repeats:
-        print(f"warning: duplicate {name}(s) removed: {','.join(map(str, repeats))}",
-              file=sys.stderr)
-    return kept
-
-
-def _parse_methods(text: str):
-    requested = [m.strip() for m in text.split(",") if m.strip()]
-    if not requested:
-        raise InvalidParameterError("no methods given")
-    for m in requested:
-        if m not in METHODS:
-            raise InvalidParameterError(f"unknown method {m!r}; choose from {METHODS}")
-    return _unique(requested, "method")
-
-
-def _parse_labels_per_class(text: str):
-    try:
-        requested = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise InvalidParameterError(
-            f"--labels-per-class must be comma-separated integers, got {text!r}"
-        ) from None
-    if not requested:
-        raise InvalidParameterError("no labels-per-class values given")
-    if min(requested) < 1:
-        raise InvalidParameterError(f"--labels-per-class values must be >= 1, got {text!r}")
-    return _unique(requested, "labels-per-class value")
-
-
 def _cmd_bench(args) -> int:
-    methods = _parse_methods(args.methods)
-    m_values = _parse_labels_per_class(args.labels_per_class)
     cfg = SolverConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter)
     if args.dataset_features:
         ds = load_feature_dataset(args.dataset_features, args.dataset_labels)
@@ -214,31 +218,16 @@ def _cmd_bench(args) -> int:
         ds = load_graph_dataset(args.dataset_graph, args.dataset_labels)
     reports = [
         run_trials(ds, method, m, args.trials, args.seed, cfg)
-        for method in methods
-        for m in m_values
+        for method in args.methods
+        for m in args.labels_per_class
     ]
     print(emit_table(reports))
     if args.out:
-        doc = {
+        _write_json(args.out, {
             "dataset": ds.name,
-            "flags": {
-                "dataset_features": args.dataset_features,
-                "dataset_graph": args.dataset_graph,
-                "dataset_labels": args.dataset_labels,
-                "knn_k": args.knn_k,
-                "methods": ",".join(methods),
-                "labels_per_class": ",".join(str(m) for m in m_values),
-                "trials": args.trials,
-                "seed": args.seed,
-                "lambda": args.lam,
-                "tol": args.tol,
-                "max_iter": args.max_iter,
-            },
+            "flags": _flags(args, "out"),
             "reports": [report_to_dict(r) for r in reports],
-        }
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
     return EXIT_OK
 
 
@@ -267,19 +256,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except IllPosedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ILL_POSED
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except ScanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-
+        return next(_EXIT_CODES[t] for t in type(exc).__mro__ if t in _EXIT_CODES)
 
 if __name__ == "__main__":
     raise SystemExit(main())

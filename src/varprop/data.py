@@ -52,35 +52,20 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-class _CounterStream:
-    """Deterministic uint64 stream: value(i) = mix(base + i * golden)."""
-
-    def __init__(self, *words: int):
-        base = 0x243F6A8885A308D3
-        for w in words:
-            base = _mix64(base ^ _mix64(int(w)))
-        self._base = base
-        self._counter = 0
-
-    def next_u64(self) -> int:
-        value = _mix64((self._base + self._counter * _GOLDEN) & _MASK64)
-        self._counter += 1
-        return value
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), rejection sampled to avoid modulo bias."""
-        if bound < 1:
-            raise InvalidParameterError("bound must be >= 1")
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            v = self.next_u64()
-            if v < limit:
-                return v % bound
+def _stream(*words: int):
+    """Deterministic uint64 stream keyed on ``words``: value(i) = mix(base + i * golden)."""
+    base = 0x243F6A8885A308D3
+    for w in words:
+        base = _mix64(base ^ _mix64(int(w)))
+    i = 0
+    while True:
+        yield _mix64((base + i * _GOLDEN) & _MASK64)
+        i += 1
 
 
 def derive_trial_seed(base_seed: int, trial_index: int) -> int:
     """Per-trial seed derived from (base_seed, trial_index), order independent."""
-    return _CounterStream(int(base_seed), 0x5EED, int(trial_index)).next_u64()
+    return next(_stream(base_seed, 0x5EED, trial_index))
 
 
 @dataclass(frozen=True)
@@ -130,11 +115,18 @@ class Dataset:
 
 def _lines(path, comments=False):
     """Yield ``(lineno, stripped text)`` of each nonblank line, numbering from 1
-    over every line; ``#`` lines are skipped only when ``comments`` is set."""
+    over every line; ``#`` lines are skipped only when ``comments`` is set.
+
+    A data line holding ``_`` or a non-ASCII character is a FormatError:
+    Python's ``int`` and ``float`` accept digit separators and non-ASCII
+    digits that ``np.loadtxt`` rejects.
+    """
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if text and not (comments and text.startswith("#")):
+                if "_" in text or not text.isascii():
+                    raise FormatError(f"{path}: line {lineno}: '_' or non-ASCII character")
                 yield lineno, text
 
 
@@ -342,9 +334,12 @@ def sample_label_set(ds: Dataset, labels_per_class: int, seed: int) -> LabelSet:
                 f"class {c} has {members.size} members, cannot draw {m} labels"
             )
         pool = members.tolist()
-        stream = _CounterStream(int(seed), c)
+        stream = _stream(seed, c)
         for i in range(m):
-            j = i + stream.below(len(pool) - i)
+            # uniform in [0, bound): rejection sampling avoids modulo bias
+            bound = len(pool) - i
+            limit = (1 << 64) - ((1 << 64) % bound)
+            j = i + next(v for v in stream if v < limit) % bound
             pool[i], pool[j] = pool[j], pool[i]
         entries.extend((int(node), c) for node in pool[:m])
     entries.sort()

@@ -11,6 +11,17 @@ import pytest
 import varprop.cli as cli
 from varprop.cli import main
 from varprop.data import read_edgelist, read_labeled_nodes
+from varprop.errors import (
+    DivergenceError,
+    FormatError,
+    IllPosedError,
+    InsufficientLabelsError,
+    InvalidInputError,
+    InvalidParameterError,
+    LayoutError,
+    OracleSizeError,
+    ScanError,
+)
 from varprop.graph import objective_value
 from varprop.solvers import SolverConfig, solve
 
@@ -305,6 +316,71 @@ class TestFlags:
         monkeypatch.setattr(cli, "read_edgelist", unexpected)
         assert main(argv) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["build-graph", "--features", "f.csv", "--k", "abc", "--out", "o"],
+        ["bench", "--dataset-graph", "g", "--dataset-labels", "l", "--methods", "laplace",
+         "--labels-per-class", "1", "--trials", "abc"],
+        ["bench", "--dataset-features", "f.csv", "--dataset-labels", "l", "--methods", "laplace",
+         "--labels-per-class", "1", "--knn-k", "abc"],
+        ["solve", "--graph", "g", "--labels", "l", "--method", "laplace", "--max-iter", "abc",
+         "--out", "o"],
+        ["bench", "--dataset-graph", "g", "--dataset-labels", "l", "--methods", "laplace",
+         "--labels-per-class", "1,abc"],
+    ])
+    def test_non_integer_count_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "must be a positive integer, got 'abc'" in err
+        assert "_positive_int" not in err
+
+    @pytest.mark.parametrize("subcommand", ["solve", "bench"])
+    def test_json_flags_echo_every_parsed_option(self, subcommand, bridged, path3, tmp_path,
+                                                 capsys):
+        if subcommand == "solve":
+            graph, seeds = path3
+            argv = ["solve", "--graph", str(graph), "--labels", str(seeds),
+                    "--method", "poisson", "--out", str(tmp_path / "p.txt")]
+            out, omitted = tmp_path / "p.txt.json", set()
+        else:
+            edges, labels = bridged
+            argv = ["bench", "--dataset-graph", str(edges), "--dataset-labels", str(labels),
+                    "--methods", "poisson,laplace", "--labels-per-class", "2,1", "--trials", "2",
+                    "--out", str(tmp_path / "r.json")]
+            out, omitted = tmp_path / "r.json", {"out"}
+        assert main(argv) == 0
+        capsys.readouterr()
+        parsed = vars(cli._build_parser().parse_args(argv))
+        flags = json.loads(out.read_text())["flags"]
+        assert set(flags) == set(parsed) - {"subcommand", "func", "lam"} - omitted | {"lambda"}
+        assert flags["lambda"] == parsed["lam"]
+        if subcommand == "bench":
+            assert flags["methods"] == "poisson,laplace"
+            assert flags["labels_per_class"] == "2,1"
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc,code", [
+        (FormatError, 2), (InvalidInputError, 2), (InvalidParameterError, 2),
+        (InsufficientLabelsError, 2), (LayoutError, 2), (OracleSizeError, 2),
+        (FileNotFoundError, 2), (IllPosedError, 3), (DivergenceError, 4), (ScanError, 5),
+    ])
+    def test_listed_exception_maps_to_its_code(self, exc, code, monkeypatch, capsys):
+        def fail(cfg):
+            raise exc("boom")
+
+        monkeypatch.setattr(cli, "discrete_vs_continuum", fail)
+        assert main(["verify-pde", "--lambda", "4", "--grid", "64"]) == code
+        assert capsys.readouterr().err == "error: boom\n"
+
+    @pytest.mark.parametrize("exc", [KeyError, ValueError, RuntimeError])
+    def test_unlisted_exception_propagates(self, exc, monkeypatch):
+        def fail(cfg):
+            raise exc("boom")
+
+        monkeypatch.setattr(cli, "discrete_vs_continuum", fail)
+        with pytest.raises(exc):
+            main(["verify-pde", "--lambda", "4", "--grid", "64"])
 
 
 class TestVerifyPde:
