@@ -23,6 +23,7 @@ from .continuum import (
 from .data import (
     load_feature_dataset,
     load_graph_dataset,
+    plain_ascii,
     read_edgelist,
     read_feature_csv,
     read_labeled_nodes,
@@ -65,9 +66,23 @@ _EXIT_CODES = {
 }
 
 
+def _plain(convert):
+    """argparse type: ``convert`` on :func:`data.plain_ascii` text only, so
+    that flags read numbers as the text readers do ('1_0' is not 10)."""
+    def parse(text):
+        if not plain_ascii(text):
+            raise ValueError(text)
+        return convert(text)
+    parse.__name__ = convert.__name__  # argparse names it: "invalid int value: '1_0'"
+    return parse
+
+
+_int, _float = _plain(int), _plain(float)
+
+
 def _positive_int(text):
     try:
-        value = int(text)
+        value = _int(text)
     except ValueError:
         value = 0  # not an integer: rejected below
     if value < 1:
@@ -102,9 +117,9 @@ def _comma_list(item, name):
 def _add_solver_options(p):
     """--lambda, --tol and --max-iter, with the defaults of SolverConfig()."""
     defaults = SolverConfig()
-    p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
+    p.add_argument("--lambda", dest="lam", type=_float, default=defaults.lam,
                    help=f"variance weight (default {defaults.lam:g})")
-    p.add_argument("--tol", type=float, default=defaults.tol)
+    p.add_argument("--tol", type=_float, default=defaults.tol)
     p.add_argument("--max-iter", type=_positive_int, default=defaults.max_iter)
 
 
@@ -144,14 +159,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    type=_comma_list(_positive_int, "labels-per-class value"),
                    help="comma-separated labeled-node counts per class")
     p.add_argument("--trials", type=_positive_int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     _add_solver_options(p)
     p.add_argument("--out", help="JSON report path")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("verify-pde", help="1-D discretization consistency checks")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--grid", type=int, required=True,
+    p.add_argument("--lambda", dest="lam", type=_float, required=True)
+    p.add_argument("--grid", type=_int, required=True,
                    help="grid points, at least 16; refined to 2*GRID-1, which --lambda bounds")
     p.add_argument("--csv", help="optional CSV of (x, value, residual)")
     p.set_defaults(func=_cmd_verify_pde)

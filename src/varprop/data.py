@@ -1,14 +1,15 @@
 """Text file formats, dataset ingestion and the seeded label sampler.
 
 Feature CSVs, label files, labeled-node files and edge lists are all read
-through one line reader: blank lines are skipped and line numbers count
-every line; only labeled-node files and edge lists skip ``#`` comments.
-The sampler draws a fixed number of labeled nodes per class with a
-counter-based 64-bit generator, so splits reproduce exactly on any
-platform.
+the same way: one line reader, whose blank lines are skipped and whose
+line numbers count every line, feeds one ``np.loadtxt`` call, so numbers
+have ``np.loadtxt``'s grammar in every format.  Only labeled-node files
+and edge lists skip ``#`` comments.  Every error names the line of the
+earliest faulty row.  The sampler draws a fixed number of labeled nodes
+per class with a counter-based 64-bit generator, so splits reproduce
+exactly on any platform.
 """
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -113,97 +114,131 @@ class Dataset:
         return np.flatnonzero(self.true_labels == c)
 
 
+def plain_ascii(text) -> bool:
+    """True when ``text`` is ASCII without ``_``.
+
+    On such text Python's ``int`` and ``float`` read numbers as
+    ``np.loadtxt`` does; elsewhere they also accept digit separators and
+    non-ASCII digits.  The text readers and the CLI's number flags share it.
+    """
+    return "_" not in text and text.isascii()
+
+
 def _lines(path, comments=False):
     """Yield ``(lineno, stripped text)`` of each nonblank line, numbering from 1
     over every line; ``#`` lines are skipped only when ``comments`` is set.
 
-    A data line holding ``_`` or a non-ASCII character is a FormatError:
-    Python's ``int`` and ``float`` accept digit separators and non-ASCII
-    digits that ``np.loadtxt`` rejects.
+    A data line that is not :func:`plain_ascii` is a FormatError; so is one
+    with a byte the text encoding cannot decode, read as U+FFFD.
     """
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if text and not (comments and text.startswith("#")):
-                if "_" in text or not text.isascii():
+                if not plain_ascii(text):
                     raise FormatError(f"{path}: line {lineno}: '_' or non-ASCII character")
                 yield lineno, text
+
+
+def _parse(path, dtype, delimiter=None, comments=False, default=None):
+    """Parse the lines :func:`_lines` yields with one ``np.loadtxt`` call.
+
+    Returns ``(rows, linenos, fault)``: an array of ``dtype``, the line
+    number of each row, and None.  A structured ``dtype`` sets the field
+    count and gives a 1-D array; with a plain one the first row sets the
+    count and the array is 2-D.  ``default`` fills a missing last field.  A
+    file without data rows is a FormatError.
+
+    When loadtxt rejects the file, the lines are read again with ``int``
+    and ``float``, only to name the first faulty one: ``rows`` and
+    ``linenos`` then cover the lines before it, and ``fault`` is its
+    FormatError, which :func:`_reject` raises unless an earlier row fails.
+    """
+    dtype = np.dtype(dtype)
+    types = [dtype[name] for name in dtype.names] if dtype.names else None
+    linenos = []
+
+    def texts():
+        for lineno, text in _lines(path, comments):
+            linenos.append(lineno)
+            if default is not None and len(text.split(delimiter)) == len(types) - 1:
+                text += (delimiter or " ") + default
+            yield text
+
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # older numpy (1.23 on) reads an int field such as '1.0' through float, and only warns
+            warnings.filterwarnings("error", "loadtxt", DeprecationWarning)
+            rows = np.loadtxt(texts(), dtype, comments=None, delimiter=delimiter,
+                              ndmin=1 if types else 2)
+    except (ValueError, DeprecationWarning) as exc:
+        fault = FormatError(f"{path}: {exc}")  # unless int() or float() finds the line
+    else:
+        if not rows.size:
+            raise FormatError(f"{path}: no data rows")
+        return rows, np.array(linenos), None
+    linenos.clear()
+    rows = []
+    try:
+        for text in texts():
+            where = f"{path}: line {linenos[-1]}:"
+            fields = text.split(delimiter)
+            types = types or [dtype] * len(fields)  # a plain dtype: the first row sets the width
+            if len(fields) != len(types):
+                width = len(types) if default is None else f"{len(types) - 1} or {len(types)}"
+                raise FormatError(f"{where} expected {width} fields, found {len(fields)}")
+            row = []
+            for field, t in zip(fields, types):
+                try:
+                    row.append(t.type(int(field) if t.kind == "i" else float(field)))
+                except (ValueError, OverflowError):
+                    raise FormatError(f"{where} cannot read {field!r} as {t}") from None
+            rows.append(tuple(row))
+    except FormatError as exc:
+        fault = exc
+    return np.array(rows, dtype), np.array(linenos[:len(rows)]), fault
+
+
+def _reject(path, linenos, fault, *checks):
+    """Raise a FormatError for the earliest row that a ``(mask, message)``
+    check flags, with the message of the first check flagging it; past the
+    last row comes ``fault``, the parse fault of :func:`_parse`, if any."""
+    flagged = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(checks) if np.any(mask)]
+    if flagged:
+        row, k = min(flagged)
+        raise FormatError(f"{path}: line {linenos[row]}: {checks[k][1]}")
+    if fault is not None:
+        raise fault
 
 
 def read_feature_csv(path) -> np.ndarray:
     """Parse a headerless CSV of floats into an (n, d) float64 matrix.
 
     Every row must have the same number of comma-separated fields, each a
-    finite float; blank and whitespace-only lines are skipped.  A ragged
-    row, a non-numeric or non-finite field, or a file without data rows
-    raises FormatError, with the 1-based line number (blank lines counted)
-    where a line is at fault.
+    finite float as ``np.loadtxt`` reads it; blank and whitespace-only lines
+    are skipped.  A ragged row, a non-numeric or non-finite field, or a file
+    without data rows raises FormatError, with the 1-based line number
+    (blank lines counted) where a line is at fault.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            X = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-    except ValueError:
-        pass
-    else:
-        if X.size and np.isfinite(X).all():
-            return X
-    # the line-by-line parse names the faulty line, and accepts whitespace-only lines
-    rows = []
-    for lineno, text in _lines(path):
-        parts = text.split(",")
-        if rows and len(parts) != len(rows[0]):
-            raise FormatError(
-                f"{path}: line {lineno}: expected {len(rows[0])} fields, found {len(parts)}"
-            )
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            raise FormatError(f"{path}: line {lineno}: non-numeric field") from None
-        if not all(math.isfinite(v) for v in values):
-            raise FormatError(f"{path}: line {lineno}: non-finite value")
-        rows.append(values)
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64)
+    X, linenos, fault = _parse(path, np.float64, delimiter=",")
+    _reject(path, linenos, fault, (~np.isfinite(X).all(axis=-1), "non-finite value"))
+    return X
 
 
 def read_label_file(path) -> np.ndarray:
-    """Parse one integer class index per line."""
-    labels = []
-    for lineno, text in _lines(path):
-        try:
-            value = int(text)
-        except ValueError:
-            raise FormatError(f"{path}: line {lineno}: labels must be integers") from None
-        if value < 0:
-            raise FormatError(f"{path}: line {lineno}: negative label {value}")
-        labels.append(value)
-    if not labels:
-        raise FormatError(f"{path}: no labels found")
-    return np.array(labels, dtype=np.int64)
+    """Parse one nonnegative integer class index per line."""
+    rows, linenos, fault = _parse(path, [("label", np.int64)])
+    _reject(path, linenos, fault, (rows["label"] < 0, "negative label"))
+    return rows["label"]
 
 
 def read_labeled_nodes(path) -> LabelSet:
     """Parse a labeled-node file: one ``node class`` pair per line, '#' comments."""
-    entries = []
-    for lineno, text in _lines(path, comments=True):
-        parts = text.split()
-        if len(parts) != 2:
-            raise FormatError(
-                f"{path}: line {lineno}: expected 'node class', found {len(parts)} fields"
-            )
-        try:
-            node, cls = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"{path}: line {lineno}: non-integer field") from None
-        if node < 0 or cls < 0:
-            raise FormatError(f"{path}: line {lineno}: negative index")
-        entries.append((node, cls))
-    if not entries:
-        raise FormatError(f"{path}: no labeled nodes found")
-    k = max(c for _, c in entries) + 1
-    return LabelSet(k=k, entries=tuple(entries))
+    rows, linenos, fault = _parse(path, [("node", np.int64), ("cls", np.int64)], comments=True)
+    node, cls = rows["node"], rows["cls"]
+    _reject(path, linenos, fault, ((node < 0) | (cls < 0), "negative index"))
+    return LabelSet(k=int(cls.max()) + 1, entries=tuple(zip(node.tolist(), cls.tolist())))
 
 
 def read_edgelist(path, n=None) -> Graph:
@@ -216,37 +251,26 @@ def read_edgelist(path, n=None) -> Graph:
     When ``n`` is given, any endpoint >= n is a FormatError; otherwise n is
     inferred as the largest endpoint + 1.
     """
-    src, dst, wgt = [], [], []
-    for lineno, text in _lines(path, comments=True):
-        parts = text.split()
-        if len(parts) not in (2, 3):
-            raise FormatError(
-                f"{path}: line {lineno}: expected 'src dst [weight]', found {len(parts)} fields"
-            )
-        try:
-            i = int(parts[0])
-            j = int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError:
-            raise FormatError(f"{path}: line {lineno}: non-numeric field") from None
-        if i < 0 or j < 0:
-            raise FormatError(f"{path}: line {lineno}: negative node index")
-        if not np.isfinite(w) or w < 0:
-            raise FormatError(f"{path}: line {lineno}: weight must be finite and nonnegative")
-        if n is not None and (i >= n or j >= n):
-            raise FormatError(
-                f"{path}: line {lineno}: node index {max(i, j)} exceeds node count {n}"
-            )
-        if i == j:
-            warnings.warn(f"{path}: line {lineno}: self-loop on node {i} dropped")
-            continue
-        src.append(i)
-        dst.append(j)
-        wgt.append(w)
-    if not src:
+    rows, linenos, fault = _parse(
+        path, [("src", np.int64), ("dst", np.int64), ("weight", np.float64)],
+        comments=True, default="1",
+    )
+    src, dst, w = rows["src"], rows["dst"], rows["weight"]
+    _reject(
+        path, linenos, fault,
+        ((src < 0) | (dst < 0), "negative node index"),
+        (~np.isfinite(w) | (w < 0), "weight must be finite and nonnegative"),
+        (np.maximum(src, dst) >= (np.inf if n is None else n),
+         f"node index exceeds node count {n}"),
+    )
+    loops = src == dst
+    for lineno, node in zip(linenos[loops], src[loops]):
+        warnings.warn(f"{path}: line {lineno}: self-loop on node {node} dropped")
+    src, dst, w = src[~loops], dst[~loops], w[~loops]
+    if not src.size:
         raise FormatError(f"{path}: no edges found")
-    count = n if n is not None else max(max(src), max(dst)) + 1
-    return graph_from_edges(count, src, dst, wgt)
+    count = n if n is not None else int(max(src.max(), dst.max())) + 1
+    return graph_from_edges(count, src, dst, w)
 
 
 def write_edgelist(g: Graph, path) -> None:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -327,11 +328,26 @@ class TestFlags:
          "--out", "o"],
         ["bench", "--dataset-graph", "g", "--dataset-labels", "l", "--methods", "laplace",
          "--labels-per-class", "1,abc"],
+        # numbers that only Python's int() and float() read: '1_0' as 10, Arabic-Indic '١٠' too
+        ["build-graph", "--features", "f.csv", "--out", "o", "--k", "1_0"],
+        ["build-graph", "--features", "f.csv", "--out", "o", "--k", "١٠"],
+        ["bench", "--dataset-graph", "g", "--dataset-labels", "l", "--methods", "laplace",
+         "--labels-per-class", "1", "--seed", "1_0"],
+        ["bench", "--dataset-graph", "g", "--dataset-labels", "l", "--methods", "laplace",
+         "--labels-per-class", "1", "--lambda", "0_1"],
+        ["solve", "--graph", "g", "--labels", "l", "--method", "laplace", "--out", "o",
+         "--tol", "١e-8"],
+        ["verify-pde", "--lambda", "4", "--grid", "1_28"],
     ])
     def test_non_integer_count_is_usage_error(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "must be a positive integer, got 'abc'" in err
+        # the flag whose value is 'abc', or holds '_' or a non-ASCII character
+        flag, bad = next((f, v) for f, v in zip(argv, argv[1:]) if re.search(r"abc|_|[^ -~]", v))
+        rejection = {"--seed": "invalid int value:", "--grid": "invalid int value:",
+                     "--lambda": "invalid float value:", "--tol": "invalid float value:"}
+        expected = rejection.get(flag, "must be a positive integer, got")
+        assert f"{expected} {bad.split(',')[-1]!r}" in err
         assert "_positive_int" not in err
 
     @pytest.mark.parametrize("subcommand", ["solve", "bench"])
@@ -463,3 +479,23 @@ class TestEntryPoint:
     def test_no_subcommand_is_usage_error(self):
         proc = run_module()
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("subcommand,graph,labels", [
+        ("solve", "0 1\n99999999999999999999 2\n", "0 0\n2 1\n"),
+        ("solve", "0 1\n1 2\n", "0 0\n99999999999999999999 1\n"),
+        ("bench", "0 1\n1 2\n", "0\n99999999999999999999\n1\n"),
+    ], ids=["solve-graph", "solve-labels", "bench-labels"])
+    def test_integer_past_int64_is_format_error(self, subcommand, graph, labels, tmp_path):
+        (tmp_path / "g.edges").write_text(graph)
+        (tmp_path / "l.txt").write_text(labels)
+        if subcommand == "solve":
+            argv = ["solve", "--graph", str(tmp_path / "g.edges"),
+                    "--labels", str(tmp_path / "l.txt"), "--method", "laplace",
+                    "--out", str(tmp_path / "p.txt")]
+        else:
+            argv = ["bench", "--dataset-graph", str(tmp_path / "g.edges"),
+                    "--dataset-labels", str(tmp_path / "l.txt"), "--methods", "laplace",
+                    "--labels-per-class", "1", "--trials", "1"]
+        proc = run_module(*argv)
+        assert proc.returncode == 2
+        assert "line 2:" in proc.stderr and "Traceback" not in proc.stderr

@@ -117,6 +117,15 @@ class TestFeatureLoading:
         with pytest.raises(FormatError, match=line):
             read_feature_csv(f)
 
+    @pytest.mark.parametrize("text", ["1,\xa02\n3,4\n", "1,\xa02\n \n3,4\n"],
+                             ids=["alone", "before_whitespace_line"])
+    def test_no_break_space_rejected_at_its_line(self, tmp_path, text):
+        # np.loadtxt alone reads a no-break space as whitespace
+        f = tmp_path / "f.csv"
+        f.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match="line 1:"):
+            read_feature_csv(f)
+
     def test_empty_file_rejected_without_warning(self, tmp_path):
         f = tmp_path / "f.csv"
         f.write_text("")
@@ -190,6 +199,13 @@ class TestLineReader:
         with pytest.raises(FormatError, match="line 2:"):
             reader(f)
 
+    def test_undecodable_byte_rejected_at_its_line(self, tmp_path, fmt):
+        reader, good, _, _ = FORMATS[fmt]
+        f = tmp_path / "in.txt"
+        f.write_bytes(f"{good[0]}\n\xff{good[1]}\n".encode("latin-1"))
+        with pytest.raises(FormatError, match="line 2:"):
+            reader(f)
+
     def test_comment_may_hold_any_character(self, tmp_path, fmt):
         reader, good, _, skips_comments = FORMATS[fmt]
         f = tmp_path / "in.txt"
@@ -209,6 +225,37 @@ class TestLineReader:
         lf.write_bytes(text.encode())
         crlf.write_bytes(text.replace("\n", "\r\n").encode())
         np.testing.assert_array_equal(_comparable(reader(crlf)), _comparable(reader(lf)))
+
+
+# An integer past int64 on line 2 of each integer format
+OVERSIZED = {
+    "label file": "0\n99999999999999999999\n",
+    "labeled nodes": "0 0\n99999999999999999999 1\n",
+    "edge list": "0 1\n1 99999999999999999999\n",
+}
+
+
+@pytest.mark.parametrize("fmt", OVERSIZED)
+def test_integer_past_int64_rejected_at_its_line(tmp_path, fmt):
+    f = tmp_path / "in.txt"
+    f.write_text(OVERSIZED[fmt])
+    with pytest.raises(FormatError, match="line 2:"):
+        FORMATS[fmt][0](f)
+
+
+@pytest.mark.parametrize("fmt,text,line", [
+    ("edge list", "0 1 -1\n-1 2\n", "line 1:"),
+    ("edge list", "0 1\n0 2 x\n-1 2\n", "line 2:"),
+    ("label file", "0\n-1\nx\n", "line 2:"),
+    ("labeled nodes", "0 -1\n1\n", "line 1:"),
+    ("labeled nodes", "0 0\n0 -1\n1_0 1\n", "line 2:"),
+    ("feature csv", "1,2\ninf,3\n4\n", "line 2:"),
+])
+def test_earliest_of_two_faults_is_named(tmp_path, fmt, text, line):
+    f = tmp_path / "in.txt"
+    f.write_text(text)
+    with pytest.raises(FormatError, match=line):
+        FORMATS[fmt][0](f)
 
 
 def test_public_names_pinned():
