@@ -163,6 +163,12 @@ def graph_from_edges(n, src, dst, weight=None) -> Graph:
     src, dst, weight = src[keep], dst[keep], weight[keep]
     if src.size == 0:
         raise InvalidInputError("all edges have zero weight")
+    if n > 2 * src.size:
+        # fewer edge ends than nodes: some node is isolated.  Caught here,
+        # before a huge n sizes an array or overflows the keys a * n + b
+        ends = np.unique(np.concatenate([src, dst]))
+        gaps = np.flatnonzero(ends != np.arange(ends.size))
+        raise _isolated(n - ends.size, gaps[0] if gaps.size else ends.size)
 
     a = np.minimum(src, dst)
     b = np.maximum(src, dst)
@@ -180,15 +186,19 @@ def graph_from_edges(n, src, dst, weight=None) -> Graph:
     degrees = adjacency.sum(axis=1)
     if np.any(degrees == 0):
         isolated = np.flatnonzero(degrees == 0)
-        raise InvalidInputError(
-            f"graph has {isolated.size} isolated node(s), e.g. node {isolated[0]}; "
-            "degree weights vanish there and propagation is ill-posed"
-        )
+        raise _isolated(isolated.size, isolated[0])
     return Graph(
         n=n,
         adjacency=adjacency,
         degrees=degrees,
         degree_weights=degrees / degrees.sum(),
+    )
+
+
+def _isolated(count, first) -> InvalidInputError:
+    return InvalidInputError(
+        f"graph has {count} isolated node(s), e.g. node {first}; "
+        "degree weights vanish there and propagation is ill-posed"
     )
 
 
@@ -206,8 +216,8 @@ def build_knn_graph(features, k_neighbors) -> Graph:
     The neighbor search is exact and deterministic: among equidistant
     candidates the lower index wins, so duplicate points always give the
     same graph.  It does O(n^2 d) work in blocks of rows; the temporaries
-    of one block fit a fixed budget of a few megabytes, or one row (about
-    16 n bytes) when n is larger.
+    of one block fit a budget of max(4 MB, the bytes of the float64
+    features), or one row (about 16 n bytes) when n is larger.
 
     Parameters
     ----------
@@ -242,8 +252,10 @@ def build_knn_graph(features, k_neighbors) -> Graph:
     return graph_from_edges(n, np.repeat(np.arange(n), k), nbr, w)
 
 
-# Bytes for the temporaries of one block of rows in _nearest: the GEMM
-# distances, their argpartition indices and the exact-distance gather.
+# Floor on the bytes for the temporaries of one block of rows in _nearest:
+# the GEMM distances, their argpartition indices and the exact-distance
+# gather.  _nearest's budget is max(this, X.nbytes): each block's GEMM reads
+# all of X, and blocks that grow with X share that read among more rows.
 _KNN_BLOCK_BYTES = 4 << 20
 # Spare candidates beyond k, so GEMM rounding near the k-th distance rarely
 # forces an exact re-search of the row.
@@ -267,7 +279,8 @@ def _nearest(X, k):
     norms = np.sqrt(sq)
     # |GEMM form - exact| <= (d + 4) eps (|x_i| + |x_j|)^2 for every j
     slack = (d + 4) * np.finfo(np.float64).eps * (norms + norms.max()) ** 2
-    block = max(1, _KNN_BLOCK_BYTES // (16 * n + 8 * pool * d))
+    budget = max(_KNN_BLOCK_BYTES, X.nbytes)
+    block = max(1, budget // (16 * n + 8 * pool * d))
     gram = np.empty((min(block, n), n))
     idx = np.empty((n, k), dtype=np.int64)
     dist = np.empty((n, k))
@@ -281,23 +294,23 @@ def _nearest(X, k):
         part = np.argpartition(D, pool, axis=1)
         edge = np.take_along_axis(D, part[:, pool : pool + 1], axis=1)[:, 0]
         cand = part[:, :pool]
-        cand_dist = np.sqrt(_squared_distances(X, rows, cand))
+        cand_dist = np.sqrt(_squared_distances(X, rows, cand, budget))
         order = np.lexsort((cand, cand_dist))[:, :k]
         idx[rows] = np.take_along_axis(cand, order, axis=1)
         dist[rows] = np.take_along_axis(cand_dist, order, axis=1)
         # negated so that a NaN bound (overflowing features) also re-searches
         for i in rows[~(edge - slack[rows] > dist[rows, -1] ** 2)]:
             others = np.delete(np.arange(n), i)
-            exact = np.sqrt(_squared_distances(X, np.array([i]), others[None, :])[0])
+            exact = np.sqrt(_squared_distances(X, np.array([i]), others[None, :], budget)[0])
             best = np.lexsort((others, exact))[:k]
             idx[i], dist[i] = others[best], exact[best]
     return idx, dist
 
 
-def _squared_distances(X, rows, cols):
-    """|x_rows[r] - x_cols[r, c]|^2 summed term by term, within the block budget."""
+def _squared_distances(X, rows, cols, budget):
+    """|x_rows[r] - x_cols[r, c]|^2 summed term by term, ``budget`` bytes at a time."""
     out = np.empty(cols.shape)
-    step = max(1, _KNN_BLOCK_BYTES // (8 * X.shape[1] * rows.size))
+    step = max(1, budget // (8 * X.shape[1] * rows.size))
     for s in range(0, cols.shape[1], step):
         diff = X[cols[:, s : s + step]]
         diff -= X[rows, None, :]

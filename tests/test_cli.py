@@ -499,3 +499,14 @@ class TestEntryPoint:
         proc = run_module(*argv)
         assert proc.returncode == 2
         assert "line 2:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_largest_int64_node_is_isolated_node_error(self, tmp_path):
+        # the inferred node count 2**63 fits no int64; the graph is rejected first
+        (tmp_path / "g.edges").write_text("0 9223372036854775807\n")
+        (tmp_path / "l.txt").write_text("0 0\n")
+        proc = run_module("solve", "--graph", str(tmp_path / "g.edges"),
+                          "--labels", str(tmp_path / "l.txt"), "--method", "laplace",
+                          "--out", str(tmp_path / "p.txt"))
+        assert proc.returncode == 2
+        assert "isolated node(s), e.g. node 1;" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,36 @@ class TestKnnConstruction:
         expected.sort_indices()
         assert np.array_equal(g.adjacency.indptr, expected.indptr)
         assert np.array_equal(g.adjacency.indices, expected.indices)
+
+    def test_blocks_sized_by_features_match_kd_tree(self):
+        # 4.3 MB of features, over the 4 MB floor: the budget is X.nbytes, so
+        # blocks of 52 rows, and the last of the 81 blocks holds 40
+        rng = np.random.Generator(np.random.Philox(13))
+        X = rng.normal(size=(4200, 128))
+        assert X.nbytes > 4 << 20
+        g = build_knn_graph(X, 10)
+        # one leaf: in 128 dimensions the tree prunes nothing, and one leaf queries fastest
+        _, idx = cKDTree(X, leafsize=4200).query(X, k=11)
+        assert np.array_equal(idx[:, 0], np.arange(4200))
+        directed = sparse.coo_matrix(
+            (np.ones(42000), (np.repeat(np.arange(4200), 10), idx[:, 1:].ravel())), shape=(4200, 4200)
+        ).tocsr()
+        expected = (directed + directed.T).tocsr()
+        expected.sort_indices()
+        assert np.array_equal(g.adjacency.indptr, expected.indptr)
+        assert np.array_equal(g.adjacency.indices, expected.indices)
+
+    def test_peak_memory_bounded_by_features(self):
+        # 4.3 MB of features, where the search's blocks set the peak: it read
+        # 1.14x X.nbytes, and 2.18x with twice the block budget
+        X = np.random.Generator(np.random.Philox(17)).normal(size=(2100, 256))
+        tracemalloc.start()
+        try:
+            build_knn_graph(X, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * X.nbytes
 
     def test_k_too_large_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -169,6 +200,11 @@ class TestGraphValidation:
     def test_edge_self_loop_rejected(self):
         with pytest.raises(InvalidInputError, match="elf-loop"):
             graph_from_edges(2, [0, 0], [1, 0])
+
+    def test_node_count_past_edge_ends_rejected_before_allocation(self):
+        # n > 2 * edges leaves a node isolated; nothing of size n is built
+        with pytest.raises(InvalidInputError, match=r"2999999999 isolated node\(s\), e\.g\. node 1;"):
+            graph_from_edges(3_000_000_001, [0], [3_000_000_000])
 
 
 # a 4-cycle with one chord; every builder below yields this graph or a k-NN one
