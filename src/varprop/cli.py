@@ -17,6 +17,8 @@ from .continuum import (
     ContinuumConfig,
     discrete_vs_continuum,
     format_report,
+    path_graph,
+    path_graph_shift,
     residual_refinement_ratio,
     write_residual_csv,
 )
@@ -40,10 +42,9 @@ from .errors import (
     InvalidParameterError,
     LayoutError,
     OracleSizeError,
-    ScanError,
 )
 from .graph import build_knn_graph, objective_value
-from .solvers import METHODS, SolverConfig, predict, solve
+from .solvers import METHODS, SolverConfig, estimate_stability_limit, predict, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -62,7 +63,6 @@ _EXIT_CODES = {
     OSError: EXIT_USAGE,
     IllPosedError: EXIT_ILL_POSED,
     DivergenceError: EXIT_DIVERGENCE,
-    ScanError: EXIT_VERIFY,
 }
 
 
@@ -247,20 +247,28 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify_pde(args) -> int:
-    cfg = ContinuumConfig(n_grid=args.grid, lam=args.lam)
+    cfg = ContinuumConfig.refinable(args.grid, args.lam)
     refinement = residual_refinement_ratio(cfg)
     path_report = discrete_vs_continuum(cfg)
     print(format_report(refinement, path_report))
     if args.csv:
         write_residual_csv(cfg, args.csv)
-    ratio_ok = 3.5 <= refinement.ratio <= 4.5
-    corr_ok = path_report.correlation >= 0.999
-    print(f"{'PASS' if ratio_ok else 'FAIL'}: refinement ratio {refinement.ratio:.4f} in [3.5, 4.5]")
-    print(
-        f"{'PASS' if corr_ok else 'FAIL'}: sinusoid correlation "
-        f"{path_report.correlation:.8f} >= 0.999"
-    )
-    return EXIT_OK if (ratio_ok and corr_ok) else EXIT_VERIFY
+    closed = path_graph_shift(cfg.n_grid)
+    estimate = estimate_stability_limit(path_graph(cfg.n_grid))
+    shift_err = abs(path_report.shift - closed) / closed
+    estimate_err = abs(estimate - path_report.shift) / estimate
+    verdicts = [
+        (3.5 <= refinement.ratio <= 4.5, f"refinement ratio {refinement.ratio:.4f} in [3.5, 4.5]"),
+        (path_report.correlation >= 0.999,
+         f"sinusoid correlation {path_report.correlation:.8f} >= 0.999"),
+        (shift_err <= 1e-8,
+         f"path-graph shift = 2(n-1)(1-cos(pi/(n-1))) to relative {shift_err:.1e} <= 1e-8"),
+        (estimate_err <= 1e-8,
+         f"stability estimate = path-graph shift to relative {estimate_err:.1e} <= 1e-8"),
+    ]
+    for ok, text in verdicts:
+        print(f"{'PASS' if ok else 'FAIL'}: {text}")
+    return EXIT_OK if all(ok for ok, _ in verdicts) else EXIT_VERIFY
 
 
 def main(argv=None) -> int:

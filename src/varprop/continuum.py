@@ -3,13 +3,10 @@
 On a uniform grid the second central difference reproduces u'' to O(h^2),
 so cos(sqrt(lam)*x) must satisfy the discrete equation with a residual
 that shrinks roughly 4x when the spacing halves.  Independently, the
-first nontrivial generalized eigenvector of a uniform path graph (with
-the degree-weight matrix on the right) must line up with the same
-cos/sin family.  Both checks are cheap and back the ``verify-pde`` CLI
-command.
-
-Note the sinusoid frequency is sqrt(lam), as dimensional analysis of
-u'' + lam*u = 0 requires.
+uniform path graph's pencil (L, diag q) has the closed-form second
+eigenvalue 2(n-1)(1 - cos(pi/(n-1))), whose eigenvector samples cos(pi x):
+the first Neumann mode on [0, 1], the same whatever ``lam`` the residual
+check uses.  Both checks are cheap and back the ``verify-pde`` CLI command.
 """
 
 import math
@@ -18,14 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import InvalidParameterError, ScanError
-from .graph import graph_from_edges
+from .errors import InvalidParameterError
+from .graph import Graph, graph_from_edges
 
 __all__ = [
     "ContinuumConfig",
     "ResidualStats",
     "RefinementReport",
     "PathGraphReport",
+    "path_graph",
+    "path_graph_shift",
     "second_difference",
     "ode_residual_check",
     "residual_refinement_ratio",
@@ -46,6 +45,30 @@ _RESOLUTION = 2.0
 _MAX_PHASE_STEP = 2.0
 
 
+def _check_grid(n_grid: int, lam: float, refined: bool) -> None:
+    """Raise InvalidParameterError unless ``n_grid`` points, and with ``refined``
+    their refinement to 2*n_grid - 1, resolve cos(sqrt(lam) x) in double precision."""
+    if n_grid < 16:
+        raise InvalidParameterError("n_grid must be >= 16")
+    if not 0 < lam < math.inf:  # NaN fails too
+        raise InvalidParameterError(f"lam must be finite and > 0, got {lam}")
+    root = math.sqrt(lam)
+    n_min = max(16, math.ceil(root / _MAX_PHASE_STEP) + 1)
+    scale = 48.0 * np.finfo(np.float64).eps * max(1.0, root)
+    finest = math.floor((lam**2 / (_RESOLUTION * scale)) ** 0.25) + 1
+    n_max = (finest + 1) // 2 if refined else finest
+    refine = " once refined to 2*n_grid-1 points" if refined else ""
+    if n_max < n_min:
+        raise InvalidParameterError(f"no n_grid resolves lam={lam:g}: even n_grid={n_min} is too "
+                                    f"fine{refine}; double precision resolves {finest} points")
+    if n_grid < n_min:
+        raise InvalidParameterError(f"n_grid={n_grid} is too coarse to resolve cos(sqrt(lam) x) "
+                                    f"at lam={lam:g}; the smallest n_grid accepted is {n_min}")
+    if n_grid > n_max:
+        raise InvalidParameterError(f"n_grid={n_grid} is too fine for double precision at "
+                                    f"lam={lam:g}{refine}; the largest n_grid accepted is {n_max}")
+
+
 @dataclass(frozen=True)
 class ContinuumConfig:
     """Grid size and equation weight for the 1-D checks, which sample the
@@ -58,24 +81,13 @@ class ContinuumConfig:
     lam: float
 
     def __post_init__(self):
-        if self.n_grid < 16:
-            raise InvalidParameterError("n_grid must be >= 16")
-        if not 0 < self.lam < math.inf:  # NaN fails too
-            raise InvalidParameterError(f"lam must be finite and > 0, got {self.lam}")
-        root = math.sqrt(self.lam)
-        if root > _MAX_PHASE_STEP * (self.n_grid - 1):
-            n_min = math.ceil(root / _MAX_PHASE_STEP) + 1
-            raise InvalidParameterError(
-                f"n_grid={self.n_grid} is too coarse to resolve cos(sqrt(lam) x) at "
-                f"lam={self.lam:g}; the smallest n_grid accepted is {n_min}"
-            )
-        scale = 48.0 * np.finfo(np.float64).eps * max(1.0, root)
-        n_max = math.floor((self.lam**2 / (_RESOLUTION * scale)) ** 0.25) + 1
-        if self.n_grid > n_max:
-            raise InvalidParameterError(
-                f"n_grid={self.n_grid} is too fine for double precision at lam={self.lam:g}; "
-                f"the largest n_grid accepted is {n_max}"
-            )
+        _check_grid(self.n_grid, self.lam, refined=False)
+
+    @classmethod
+    def refinable(cls, n_grid: int, lam: float) -> "ContinuumConfig":
+        """A config whose 2*n_grid - 1 refinement is accepted too; errors name the limits."""
+        _check_grid(n_grid, lam, refined=True)
+        return cls(n_grid, lam)
 
 
 @dataclass(frozen=True)
@@ -132,65 +144,48 @@ def ode_residual_check(cfg: ContinuumConfig) -> ResidualStats:
 
 def residual_refinement_ratio(cfg: ContinuumConfig) -> RefinementReport:
     """Residual ratio between spacing h and exactly h/2; second order gives ~4."""
+    cfg = ContinuumConfig.refinable(cfg.n_grid, cfg.lam)  # names the largest coarse grid
     coarse = ode_residual_check(cfg)
     fine = ode_residual_check(ContinuumConfig(n_grid=2 * cfg.n_grid - 1, lam=cfg.lam))
     return RefinementReport(coarse=coarse, fine=fine, ratio=coarse.max_residual / fine.max_residual)
 
 
-def _fit_sinusoid(x, v, omega0):
-    """Frequency in [omega0/2, 3 omega0/2] of the best cos/sin fit of ``v``, and that fit."""
-    # at module level scipy.optimize adds ~14 MB and 0.2 s to every import of varprop
-    from scipy.optimize import minimize_scalar
-
-    def fit(w):
-        basis = np.column_stack([np.cos(w * x), np.sin(w * x)])
-        coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
-        return basis @ coef
-
-    best = minimize_scalar(lambda w: float(np.sum((fit(w) - v) ** 2)), method="bounded",
-                           bounds=(0.5 * omega0, 1.5 * omega0), options={"xatol": 1e-10})
-    return float(best.x), fit(best.x)
+def path_graph(n: int) -> Graph:
+    """The unit-weight path graph on ``n`` nodes: the uniform grid on [0, 1]."""
+    return graph_from_edges(n, np.arange(n - 1), np.arange(1, n))
 
 
-def _pearson(a, b) -> float:
-    a = a - a.mean()
-    b = b - b.mean()
-    denom = np.linalg.norm(a) * np.linalg.norm(b)
-    if denom == 0:
-        return 0.0
-    return float(abs(a @ b) / denom)
+def path_graph_shift(n: int) -> float:
+    """Second eigenvalue of the pencil (L, diag q) of :func:`path_graph`:
+    2(n-1)(1 - cos(pi/(n-1))), written as 4(n-1) sin^2(pi/(2(n-1))) to
+    avoid cancellation."""
+    return 4.0 * (n - 1) * math.sin(math.pi / (2 * (n - 1))) ** 2
 
 
 def discrete_vs_continuum(cfg: ContinuumConfig) -> PathGraphReport:
-    """Match the first nontrivial path-graph eigenvector to a fitted sinusoid.
+    """Match the first nontrivial path-graph eigenvector to cos(pi x).
 
-    Builds a unit-weight path graph on cfg.n_grid nodes and finds the
-    smallest positive shift making L - shift*diag(q) singular: the second
-    eigenpair of the tridiagonal pencil (L, diag q), solved in O(n) memory
-    after scaling by diag(q)^(-1/2).  It then least-squares fits the null
-    vector with a cos/sin pair, minimizing the fit error over a bounded
-    frequency range, and reports the Pearson correlation between vector and
-    fit along with the fitted continuum eigenvalue (the squared frequency).
+    Builds the path graph on cfg.n_grid nodes and finds the smallest
+    positive shift making L - shift*diag(q) singular: the second eigenpair
+    of the tridiagonal pencil (L, diag q), solved in O(n) memory after
+    scaling by diag(q)^(-1/2).  Reports the shift (closed form:
+    :func:`path_graph_shift`), shift / h as ``fitted_lambda`` (pi^2 up to
+    O(h^2)) and the absolute Pearson correlation of the eigenvector with
+    cos(pi x) sampled on the grid.  ``cfg.lam`` changes none of them.
     """
     n = cfg.n_grid
-    g = graph_from_edges(n, np.arange(n - 1), np.arange(1, n))
+    g = path_graph(n)
     L = g.laplacian_matrix()
     s = 1.0 / np.sqrt(g.degree_weights)
     d, e = L.diagonal() * s * s, L.diagonal(1) * s[:-1] * s[1:]
     vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(1, 1))
     shift = float(vals[0])
-    if not shift > 0:
-        raise ScanError("no positive shift with a singular system found in the spectrum")
-    v = s * vecs[:, 0]
     x = np.linspace(0.0, 1.0, n)
-    h = x[1] - x[0]
-    omega0 = math.sqrt(shift / h)
-    omega, fit = _fit_sinusoid(x, v, omega0)
     return PathGraphReport(
         n_grid=n,
         shift=shift,
-        fitted_lambda=omega * omega,
-        correlation=_pearson(v, fit),
+        fitted_lambda=shift / (x[1] - x[0]),
+        correlation=abs(float(np.corrcoef(s * vecs[:, 0], np.cos(math.pi * x))[0, 1])),
     )
 
 

@@ -31,7 +31,3 @@ class InsufficientLabelsError(ValueError):
 
 class LayoutError(ValueError):
     """Reports cannot be arranged into a single table."""
-
-
-class ScanError(RuntimeError):
-    """No near-singular shift found in the scanned spectrum."""

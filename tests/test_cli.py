@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ from varprop.errors import (
     InvalidParameterError,
     LayoutError,
     OracleSizeError,
-    ScanError,
 )
 from varprop.graph import objective_value
 from varprop.solvers import SolverConfig, solve
@@ -379,7 +379,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("exc,code", [
         (FormatError, 2), (InvalidInputError, 2), (InvalidParameterError, 2),
         (InsufficientLabelsError, 2), (LayoutError, 2), (OracleSizeError, 2),
-        (FileNotFoundError, 2), (IllPosedError, 3), (DivergenceError, 4), (ScanError, 5),
+        (FileNotFoundError, 2), (IllPosedError, 3), (DivergenceError, 4),
     ])
     def test_listed_exception_maps_to_its_code(self, exc, code, monkeypatch, capsys):
         def fail(cfg):
@@ -450,6 +450,52 @@ class TestVerifyPde:
         assert main(["verify-pde", "--lambda", "4", "--grid", "64"]) == 5
         assert "FAIL: sinusoid correlation" in capsys.readouterr().out
 
+    def test_four_verdicts_pass_at_lambda4_grid128(self, capsys):
+        assert main(["verify-pde", "--lambda", "4", "--grid", "128"]) == 0
+        verdicts = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith(("PASS", "FAIL"))]
+        assert [v.split(":")[0] for v in verdicts] == ["PASS"] * 4
+        assert "PASS: path-graph shift = 2(n-1)(1-cos(pi/(n-1)))" in verdicts[2]
+        assert "PASS: stability estimate = path-graph shift" in verdicts[3]
+
+    def test_wrong_shift_exits_five(self, capsys, monkeypatch):
+        # the eigenvector still samples cos(pi x): only the shift's scale is off
+        from varprop.continuum import discrete_vs_continuum
+
+        def scaled(cfg):
+            report = discrete_vs_continuum(cfg)
+            return replace(report, shift=report.shift * (1 + 1e-6))
+
+        monkeypatch.setattr(cli, "discrete_vs_continuum", scaled)
+        assert main(["verify-pde", "--lambda", "4", "--grid", "64"]) == 5
+        out = capsys.readouterr().out
+        assert "PASS: sinusoid correlation" in out
+        assert "FAIL: path-graph shift" in out
+        assert "FAIL: stability estimate" in out
+
+    def test_wrong_stability_estimate_exits_five(self, capsys, monkeypatch):
+        estimate = cli.estimate_stability_limit
+        monkeypatch.setattr(cli, "estimate_stability_limit", lambda g: 1.01 * estimate(g))
+        assert main(["verify-pde", "--lambda", "4", "--grid", "64"]) == 5
+        out = capsys.readouterr().out
+        assert "PASS: path-graph shift" in out
+        assert "FAIL: stability estimate" in out
+
+    def test_refined_grid_past_double_precision_names_largest_grid(self, capsys):
+        # --grid 2202 refines to 4403 points, one past the 4402 resolved at lam = 4
+        assert main(["verify-pde", "--lambda", "4", "--grid", "2202"]) == 2
+        assert capsys.readouterr().err.endswith("the largest n_grid accepted is 2201\n")
+        assert main(["verify-pde", "--lambda", "4", "--grid", "2201"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("lam", ["1e-5", "1e-4", "1.31e-4"])
+    def test_lambda_no_grid_resolves_is_usage_error(self, lam, capsys):
+        # at most 27 points resolve lam = 1e-4, so --grid 16 refined to 31 is too fine
+        assert main(["verify-pde", "--lambda", lam, "--grid", "16"]) == 2
+        err = capsys.readouterr().err
+        assert f"no n_grid resolves lam={float(lam):g}" in err
+        assert "accepted" not in err
+
 
 def run_python(*args):
     """Run the interpreter with this checkout's ``src`` importable."""
@@ -470,6 +516,12 @@ class TestEntryPoint:
         proc = run_python("-c", "import sys, varprop; "
                           "print([m in sys.modules for m in ('scipy.optimize', 'scipy.ndimage')])")
         assert proc.returncode == 0 and proc.stdout.strip() == "[False, False]"
+
+    def test_verify_pde_leaves_scipy_optimize_unloaded(self):
+        proc = run_python("-c", "import sys; from varprop.cli import main; "
+                          "code = main(['verify-pde', '--lambda', '4', '--grid', '32']); "
+                          "print(code, 'scipy.optimize' in sys.modules)")
+        assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "0 False"
 
     def test_module_invocation(self):
         proc = run_module("verify-pde", "--lambda", "4", "--grid", "32")

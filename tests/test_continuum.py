@@ -51,6 +51,28 @@ class TestConfig:
         assert 3.5 <= residual_refinement_ratio(ContinuumConfig(n_grid, lam)).ratio <= 4.5
 
 
+class TestRefinableConfig:
+    @pytest.mark.parametrize(
+        "n_grid,lam,largest", [(132, 0.01, 131), (2202, 4.0, 2201), (4402, 4.0, 2201)]
+    )
+    def test_refined_grid_past_double_precision_rejected(self, n_grid, lam, largest):
+        # the coarse grid itself is accepted; its 2*n_grid - 1 refinement is not
+        ContinuumConfig(n_grid=n_grid, lam=lam)
+        with pytest.raises(InvalidParameterError, match=f"largest n_grid accepted is {largest}$"):
+            ContinuumConfig.refinable(n_grid, lam)
+        with pytest.raises(InvalidParameterError, match=f"largest n_grid accepted is {largest}$"):
+            residual_refinement_ratio(ContinuumConfig(n_grid=n_grid, lam=lam))
+        assert ContinuumConfig.refinable(largest, lam) == ContinuumConfig(largest, lam)
+
+    def test_no_grid_resolves_tiny_lambda(self):
+        # at lam = 1e-4 double precision resolves 27 points: 16 pass, 2*16 - 1 do not
+        ContinuumConfig(n_grid=16, lam=1e-4)
+        with pytest.raises(InvalidParameterError, match="no n_grid resolves lam=0.0001"):
+            ContinuumConfig.refinable(16, 1e-4)
+        with pytest.raises(InvalidParameterError, match="no n_grid resolves lam=1e-05"):
+            ContinuumConfig(n_grid=16, lam=1e-5)
+
+
 class TestSecondDifference:
     def test_annihilates_affine_functions(self):
         x = np.linspace(0.0, 1.0, 50)

@@ -337,6 +337,10 @@ class TestStabilityBound:
 
     def test_unit_edge(self):
         assert estimate_stability_limit(path_graph(2)) == pytest.approx(4.0, rel=1e-12)
+        # unit path graphs: lambda_2 of (L, diag q) is 2(n-1)(1 - cos(pi/(n-1)))
+        for n in (2, 16, 128, 1309):
+            closed = 2 * (n - 1) * (1 - np.cos(np.pi / (n - 1)))
+            assert estimate_stability_limit(path_graph(n)) == pytest.approx(closed, rel=1e-8)
 
     def test_disconnected_graph_is_zero(self):
         g = graph_from_edges(6, [0, 0, 1, 3, 3, 4], [1, 2, 2, 4, 5, 5])
