@@ -165,24 +165,14 @@ def graph_from_edges(n, src, dst, weight=None) -> Graph:
         raise InvalidInputError("all edges have zero weight")
     if n > 2 * src.size:
         # fewer edge ends than nodes: some node is isolated.  Caught here,
-        # before a huge n sizes an array or overflows the keys a * n + b
+        # before a huge n sizes an array or overflows the keys src * n + dst
         ends = np.unique(np.concatenate([src, dst]))
         gaps = np.flatnonzero(ends != np.arange(ends.size))
         raise _isolated(n - ends.size, gaps[0] if gaps.size else ends.size)
 
-    a = np.minimum(src, dst)
-    b = np.maximum(src, dst)
-    keys = a * np.int64(n) + b
-    order = np.argsort(keys, kind="stable")
-    keys, a, b, weight = keys[order], a[order], b[order], weight[order]
-    first = np.flatnonzero(np.r_[True, np.diff(keys) != 0])
-    merged = np.maximum.reduceat(weight, first)
-    ua, ub = a[first], b[first]
-
-    rows = np.concatenate([ua, ub])
-    cols = np.concatenate([ub, ua])
-    vals = np.concatenate([merged, merged])
-    adjacency = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+    # a helper, so that its sort temporaries are freed before W.maximum(W.T)
+    W = _directed_max(n, src, dst, weight)
+    adjacency = W.maximum(W.T)
     degrees = adjacency.sum(axis=1)
     if np.any(degrees == 0):
         isolated = np.flatnonzero(degrees == 0)
@@ -193,6 +183,17 @@ def graph_from_edges(n, src, dst, weight=None) -> Graph:
         degrees=degrees,
         degree_weights=degrees / degrees.sum(),
     )
+
+
+def _directed_max(n, src, dst, weight) -> sparse.csr_array:
+    """(n, n) weights of the directed edges, the copies of each merged by their maximum."""
+    keys = src * np.int64(n) + dst
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.r_[True, np.diff(keys) != 0])
+    merged = np.maximum.reduceat(weight[order], first)
+    keys = keys[first]
+    return sparse.csr_array((merged, (keys // n, keys % n)), shape=(n, n))
 
 
 def _isolated(count, first) -> InvalidInputError:
@@ -211,7 +212,11 @@ def build_knn_graph(features, k_neighbors) -> Graph:
     with sigma_i = 0 (exact duplicates) fall back to the smallest positive
     sigma over all nodes, or 1 if every sigma vanishes.  The directed edges
     go through :func:`graph_from_edges`, which symmetrizes with
-    max(w_ij, w_ji), so every directed k-NN edge survives.
+    max(w_ij, w_ji), so every directed k-NN edge of positive weight
+    survives.  A weight underflows to 0 when |x_i - x_j|^2 is about 745
+    times sigma_i sigma_j or more, as for a point far from a tight cluster;
+    that edge is dropped, and a node left with no edge raises
+    InvalidInputError.
 
     The neighbor search is exact and deterministic: among equidistant
     candidates the lower index wins, so duplicate points always give the
@@ -293,29 +298,21 @@ def _nearest(X, k):
         D[np.arange(rows.size), rows] = np.inf
         part = np.argpartition(D, pool, axis=1)
         edge = np.take_along_axis(D, part[:, pool : pool + 1], axis=1)[:, 0]
-        cand = part[:, :pool]
-        cand_dist = np.sqrt(_squared_distances(X, rows, cand, budget))
-        order = np.lexsort((cand, cand_dist))[:, :k]
-        idx[rows] = np.take_along_axis(cand, order, axis=1)
-        dist[rows] = np.take_along_axis(cand_dist, order, axis=1)
+        idx[rows], dist[rows] = _rank(X, rows, part[:, :pool], k)
         # negated so that a NaN bound (overflowing features) also re-searches
         for i in rows[~(edge - slack[rows] > dist[rows, -1] ** 2)]:
-            others = np.delete(np.arange(n), i)
-            exact = np.sqrt(_squared_distances(X, np.array([i]), others[None, :], budget)[0])
-            best = np.lexsort((others, exact))[:k]
-            idx[i], dist[i] = others[best], exact[best]
+            idx[i], dist[i] = _rank(X, [i], np.delete(np.arange(n), i)[None, :], k)
     return idx, dist
 
 
-def _squared_distances(X, rows, cols, budget):
-    """|x_rows[r] - x_cols[r, c]|^2 summed term by term, ``budget`` bytes at a time."""
-    out = np.empty(cols.shape)
-    step = max(1, budget // (8 * X.shape[1] * rows.size))
-    for s in range(0, cols.shape[1], step):
-        diff = X[cols[:, s : s + step]]
-        diff -= X[rows, None, :]
-        out[:, s : s + step] = np.einsum("rcd,rcd->rc", diff, diff)
-    return out
+def _rank(X, rows, cand, k):
+    """The ``k`` nearest of each row's candidates ``cand[r]``, as (indices,
+    distances) ordered by (distance, index); distances are summed term by term."""
+    diff = X[cand]
+    diff -= X[rows, None, :]
+    cand_dist = np.sqrt(np.einsum("rcd,rcd->rc", diff, diff))
+    order = np.lexsort((cand, cand_dist))[:, :k]
+    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(cand_dist, order, axis=1)
 
 
 def _label_matrix(g: Graph, u):

@@ -119,6 +119,10 @@ class TestRunTrials:
         with pytest.raises(InvalidParameterError, match="graph"):
             run_trials(ds, "laplace", 1, trials=1, base_seed=0)
 
+    def test_zero_trials_rejected(self):
+        with pytest.raises(InvalidParameterError, match="trials must be >= 1"):
+            run_trials(bridged_cliques(), "laplace", 1, trials=0, base_seed=0)
+
     def test_vpl_threads_is_not_read(self, monkeypatch):
         ds = bridged_cliques()
         monkeypatch.delenv("VPL_THREADS", raising=False)

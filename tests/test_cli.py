@@ -280,6 +280,13 @@ class TestBench:
         assert doc["flags"]["labels_per_class"] == "1"
         assert len(doc["reports"]) == 1
 
+    def test_empty_methods_is_usage_error(self, bridged, capsys):
+        edges, labels = bridged
+        code = main(["bench", "--dataset-graph", str(edges), "--dataset-labels", str(labels),
+                     "--methods", ",", "--labels-per-class", "1"])
+        assert code == 2
+        assert "no methods given" in capsys.readouterr().err
+
     def test_bad_labels_per_class_is_usage_error(self, bridged, capsys):
         edges, labels = bridged
         code = main(["bench", "--dataset-graph", str(edges), "--dataset-labels", str(labels),

@@ -80,6 +80,10 @@ class TestSecondDifference:
         h = x[1] - x[0]
         assert np.abs(second_difference(v, h)).max() <= 1e-10
 
+    def test_two_samples_rejected(self):
+        with pytest.raises(InvalidParameterError, match="at least 3 samples"):
+            second_difference([0.0, 1.0], 1.0)
+
     def test_matches_path_graph_laplacian(self):
         # interior rows of the unit path Laplacian are -h^2 times the stencil
         n = 32

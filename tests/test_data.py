@@ -291,6 +291,13 @@ class TestGraphLoading:
             ds = load_graph_dataset(e, l)
         assert ds.graph.edge_count == 2
 
+    def test_only_self_loops_is_no_edges(self, tmp_path):
+        e = tmp_path / "g.edges"
+        e.write_text("0 0\n1 1 2.0\n")
+        with pytest.warns(UserWarning, match="self-loop"):
+            with pytest.raises(FormatError, match="no edges found"):
+                read_edgelist(e)
+
     def test_duplicate_edges_merge_by_max(self, tmp_path):
         e = tmp_path / "g.edges"
         e.write_text("0 1 0.5\n0 1 0.8\n1 2 1.0\n")
@@ -396,6 +403,10 @@ class TestSampler:
         ls = sample_label_set(ds, 1, seed=5)
         assert ls.l == 3
 
+    def test_labels_per_class_below_one_rejected(self):
+        with pytest.raises(InvalidParameterError, match="labels_per_class must be >= 1"):
+            sample_label_set(make_dataset([0, 0, 1, 1]), 0, seed=0)
+
     def test_insufficient_members_rejected(self):
         ds = make_dataset([0, 0, 1])
         with pytest.raises(InsufficientLabelsError, match="class 1"):
@@ -442,6 +453,16 @@ class TestDatasetValidation:
     def test_needs_a_source(self):
         with pytest.raises(InvalidInputError):
             Dataset(name="x", k=2, true_labels=np.array([0, 1]))
+
+    @pytest.mark.parametrize("k,labels,rows,error,match", [
+        (0, [0, 0], 2, InvalidParameterError, "k must be >= 1"),
+        (2, [], 0, InvalidInputError, "no samples"),
+        (2, [0, 1], 3, InvalidInputError, "features have 3 rows but 2 labels given"),
+    ], ids=["no_classes", "no_labels", "feature_rows_mismatch"])
+    def test_bad_sizes_rejected(self, k, labels, rows, error, match):
+        with pytest.raises(error, match=match):
+            Dataset(name="x", k=k, true_labels=np.array(labels, dtype=np.int64),
+                    features=np.zeros((rows, 1)))
 
     def test_label_range_checked(self):
         with pytest.raises(InvalidInputError):

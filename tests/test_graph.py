@@ -21,11 +21,8 @@ from varprop import (
     weighted_mean,
     write_edgelist,
 )
+from varprop.continuum import path_graph
 from varprop.errors import FormatError, InvalidInputError, InvalidParameterError
-
-
-def path_graph(n):
-    return graph_from_edges(n, list(range(n - 1)), list(range(1, n)))
 
 
 class TestKnnConstruction:
@@ -97,10 +94,12 @@ class TestKnnConstruction:
         assert np.array_equal(g.adjacency.indptr, expected.indptr)
         assert np.array_equal(g.adjacency.indices, expected.indices)
 
-    def test_peak_memory_bounded_by_features(self):
-        # 4.3 MB of features, where the search's blocks set the peak: it read
-        # 1.14x X.nbytes, and 2.18x with twice the block budget
-        X = np.random.Generator(np.random.Philox(17)).normal(size=(2100, 256))
+    @pytest.mark.parametrize("shape", [(2100, 256), (4200, 128)], ids=["2100x256", "4200x128"])
+    def test_peak_memory_bounded_by_features(self, shape):
+        # 4.3 MB of features in each shape.  The search's blocks set the peak:
+        # 1.14x X.nbytes at 2100x256 (2.18x with twice the block budget) and
+        # 1.40x at 4200x128, where the edge merge that follows peaks at 1.14x
+        X = np.random.Generator(np.random.Philox(17)).normal(size=shape)
         tracemalloc.start()
         try:
             build_knn_graph(X, 10)
@@ -112,6 +111,16 @@ class TestKnnConstruction:
     def test_k_too_large_rejected(self):
         with pytest.raises(InvalidParameterError):
             build_knn_graph(np.zeros((3, 2)), 3)
+
+    def test_one_dimensional_features_are_one_column(self):
+        a = build_knn_graph(np.array([0.0, 1.0, 3.0]), 2).adjacency
+        b = build_knn_graph(np.array([[0.0], [1.0], [3.0]]), 2).adjacency
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_three_dimensional_features_rejected(self):
+        with pytest.raises(InvalidInputError, match="2-D"):
+            build_knn_graph(np.zeros((4, 2, 2)), 1)
 
     def test_non_finite_features_rejected(self):
         X = np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]])
@@ -200,6 +209,15 @@ class TestGraphValidation:
     def test_edge_self_loop_rejected(self):
         with pytest.raises(InvalidInputError, match="elf-loop"):
             graph_from_edges(2, [0, 0], [1, 0])
+
+    @pytest.mark.parametrize("src,dst,weight,match", [
+        ([0, 1], [1], None, "equal length"),
+        ([0, 1], [1, 3], None, r"endpoints must lie in \[0, 3\)"),
+        ([0, 1], [1, 2], [0.0, 0.0], "all edges have zero weight"),
+    ], ids=["unequal_lengths", "endpoint_past_n", "all_zero_weights"])
+    def test_bad_edge_arrays_rejected(self, src, dst, weight, match):
+        with pytest.raises(InvalidInputError, match=match):
+            graph_from_edges(3, src, dst, weight)
 
     def test_node_count_past_edge_ends_rejected_before_allocation(self):
         # n > 2 * edges leaves a node isolated; nothing of size n is built
@@ -292,6 +310,10 @@ class TestOperators:
         g = path_graph(3)
         with pytest.raises(InvalidInputError):
             laplacian_apply(g, np.zeros((4, 2)))
+
+    def test_laplacian_three_dimensional_rejected(self):
+        with pytest.raises(InvalidInputError, match="1-D or 2-D"):
+            laplacian_apply(path_graph(3), np.zeros((3, 2, 2)))
 
     def test_weighted_mean_constant(self):
         g = random_connected_graph(5, 11)
@@ -446,3 +468,11 @@ class TestLabelSet:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             LabelSet(k=2, entries=())
+
+    def test_class_count_below_one_rejected(self):
+        with pytest.raises(InvalidParameterError, match="k must be >= 1"):
+            LabelSet(k=0, entries=((0, 0),))
+
+    def test_negative_node_rejected(self):
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            LabelSet(k=2, entries=((-1, 0), (2, 1)))

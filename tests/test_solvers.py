@@ -22,6 +22,7 @@ from varprop import (
     variance,
     weighted_mean,
 )
+from varprop.continuum import path_graph
 from varprop.errors import (
     DivergenceError,
     IllPosedError,
@@ -29,10 +30,6 @@ from varprop.errors import (
     InvalidParameterError,
     OracleSizeError,
 )
-
-
-def path_graph(n):
-    return graph_from_edges(n, list(range(n - 1)), list(range(1, n)))
 
 
 def triangle():
@@ -398,6 +395,12 @@ class TestDenseOracle:
             a = dense_oracle_solve(g, ls, SolverConfig(lam=0.0, method=vmeth)).u
             b = dense_oracle_solve(g, ls, SolverConfig(method=base)).u
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_all_nodes_labeled_returns_clamped_values(self):
+        ls = LabelSet(k=2, entries=((0, 0), (1, 1), (2, 0)))
+        res = dense_oracle_solve(triangle(), ls, SolverConfig(method="laplace"))
+        assert res.converged and res.iterations == 0 and res.final_residual == 0.0
+        np.testing.assert_array_equal(res.u, [[1, 0], [0, 1], [1, 0]])
 
     def test_oracle_ill_posed_on_uncovered_component(self):
         g = graph_from_edges(4, [0, 2], [1, 3])
