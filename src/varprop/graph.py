@@ -220,9 +220,16 @@ def build_knn_graph(features, k_neighbors) -> Graph:
 
     The neighbor search is exact and deterministic: among equidistant
     candidates the lower index wins, so duplicate points always give the
-    same graph.  It does O(n^2 d) work in blocks of rows; the temporaries
-    of one block fit a budget of max(4 MB, the bytes of the float64
-    features), or one row (about 16 n bytes) when n is larger.
+    same graph.  It does O(n^2 d) work in blocks of rows.  Candidates come
+    from a float32 GEMM on a centered copy of the features, and only the
+    columns of the groups whose minimum is least are ranked.  Their
+    distances are then summed term by term in float64, and a row that a
+    derived float32 rounding bound cannot settle is searched again exactly
+    in float64, so the graph is the one an all-float64 search gives.  The
+    float32 copy (half the bytes of the features) and the temporaries of
+    one block share a budget of max(4 MB, the bytes of the float64
+    features), or the copy and one row (about 5 n + 8 (k + 4) d bytes)
+    when n is larger.
 
     Parameters
     ----------
@@ -257,52 +264,132 @@ def build_knn_graph(features, k_neighbors) -> Graph:
     return graph_from_edges(n, np.repeat(np.arange(n), k), nbr, w)
 
 
-# Floor on the bytes for the temporaries of one block of rows in _nearest:
-# the GEMM distances, their argpartition indices and the exact-distance
-# gather.  _nearest's budget is max(this, X.nbytes): each block's GEMM reads
-# all of X, and blocks that grow with X share that read among more rows.
+# Floor on the bytes of _nearest's working set: the float32 copy of the
+# centered features, and the temporaries of one block of rows (its float32
+# candidate form, the group minima, the kept columns and the exact-distance
+# gather).  _nearest's budget is max(this, X.nbytes), and the copy, about half
+# of X.nbytes, is paid for out of it: each block's GEMM reads all of the copy,
+# and blocks that grow with X share that read among more rows.
 _KNN_BLOCK_BYTES = 4 << 20
-# Spare candidates beyond k, so GEMM rounding near the k-th distance rarely
+# Spare candidates beyond k, so float32 rounding near the k-th distance rarely
 # forces an exact re-search of the row.
 _KNN_SPARE = 4
+# Columns per group: a row keeps the pool + 1 groups of least minimum and
+# picks its candidates among their columns only, so its selection sorts
+# n / 16 group minima and (k + 5) 16 columns, not n columns.
+_KNN_GROUP = 16
 
 
 def _nearest(X, k):
     """Exact k nearest neighbors of every row of ``X``, self excluded.
 
     Returns ``(indices, distances)``, both (n, k) and ordered by
-    (distance, index), so ties go to the lower index.  Row blocks pick
-    candidates by the GEMM form |x_i|^2 - 2 x_i.x_j + |x_j|^2 and recompute
-    their distances term by term, because the GEMM form cancels.  A row
-    whose first excluded candidate lies within the GEMM rounding bound of
-    its k-th distance (ties, duplicates, large offsets) is searched again
-    exactly over all points.
+    (distance, index), so ties go to the lower index.  Candidates come from
+    a float32 copy c of the centered, scaled features: each block of rows
+    forms |c_j|^2 - 2 c_i.c_j, takes the minimum over each group of
+    ``_KNN_GROUP`` columns, keeps the pool + 1 groups of least minimum and
+    picks its pool of candidates among their columns.  The pool's distances
+    are then summed term by term in float64, on ``X`` itself.  Every column
+    left out has a form no less than the first kept value left out; a row
+    where that value, plus |c_i|^2, lies within the rounding slack derived
+    in :func:`_candidate_copy` of its k-th distance (ties, duplicates) is
+    searched again exactly over all points.
     """
     n, d = X.shape
     pool = min(n - 1, k + _KNN_SPARE)
-    sq = np.einsum("ij,ij->i", X, X)
-    norms = np.sqrt(sq)
-    # |GEMM form - exact| <= (d + 4) eps (|x_i| + |x_j|)^2 for every j
-    slack = (d + 4) * np.finfo(np.float64).eps * (norms + norms.max()) ** 2
-    budget = max(_KNN_BLOCK_BYTES, X.nbytes)
-    block = max(1, budget // (16 * n + 8 * pool * d))
-    gram = np.empty((min(block, n), n))
+    # the form's columns past n are +inf, so they are never candidates
+    groups = max(-(-n // _KNN_GROUP), pool + 1)
+    width = groups * _KNN_GROUP
+    budget = max(_KNN_BLOCK_BYTES, X.nbytes) - 4 * n * d
+    block = max(1, budget // (5 * width + 8 * pool * d + 320 * (pool + 1)))
+    C, sq, scale, slack = _candidate_copy(X, block)
+    spans = groups * np.arange(_KNN_GROUP)[:, None]
+    form = np.full((min(block, n), width), np.inf, dtype=np.float32)
     idx = np.empty((n, k), dtype=np.int64)
     dist = np.empty((n, k))
     for lo in range(0, n, block):
         rows = np.arange(lo, min(lo + block, n))
-        D = gram[: rows.size]
-        np.matmul(-2.0 * X[lo : lo + rows.size], X.T, out=D)
-        D += sq
-        D += sq[rows, None]
+        D = _candidate_form(C, sq, lo, form[: rows.size])
         D[np.arange(rows.size), rows] = np.inf
-        part = np.argpartition(D, pool, axis=1)
-        edge = np.take_along_axis(D, part[:, pool : pool + 1], axis=1)[:, 0]
-        idx[rows], dist[rows] = _rank(X, rows, part[:, :pool], k)
-        # negated so that a NaN bound (overflowing features) also re-searches
-        for i in rows[~(edge - slack[rows] > dist[rows, -1] ** 2)]:
+        # column j lies in group j % groups: one reduction gives every minimum
+        low = D.reshape(rows.size, _KNN_GROUP, groups).min(axis=1)
+        part = np.argpartition(low, pool, axis=1)
+        cols = (part[:, None, : pool + 1] + spans).reshape(rows.size, -1)
+        kept = np.take_along_axis(D, cols, axis=1)
+        part = np.argpartition(kept, pool, axis=1)
+        # The kept groups' minima are pool + 1 kept values no greater than
+        # any column of an unkept group, so every column left out is >= edge,
+        # the first kept value left out.  A row's n - 1 >= pool other columns
+        # are finite, self and padding +inf, so the pool holds real columns.
+        edge = np.take_along_axis(kept, part[:, pool : pool + 1], axis=1)[:, 0]
+        idx[rows], dist[rows] = _rank(X, rows, np.take_along_axis(cols, part[:, :pool], axis=1), k)
+        # summed in float64, and negated so that a NaN bound also re-searches
+        bound = edge.astype(np.float64) + sq[rows] - slack[rows]
+        for i in rows[~(bound > (scale * dist[rows, -1]) ** 2)]:
             idx[i], dist[i] = _rank(X, [i], np.delete(np.arange(n), i)[None, :], k)
     return idx, dist
+
+
+def _candidate_copy(X, block):
+    """The float32 features of the candidate pass, and their rounding slack.
+
+    Returns ``(C, sq, scale, slack)``.  Row j of ``C`` is (x_j - mu) * scale
+    rounded to float32, with mu about the mean of ``X`` and ``scale`` the
+    power of two that brings the largest entry into [1/2, 1), where float64
+    allows.  ``sq[j]`` is |c_j|^2 in float32.  For every i and j, the form
+    of :func:`_candidate_form` plus sq[i] lies within slack[i] of
+    scale^2 |x_i - x_j|^2, with that distance summed term by term in
+    float64.  ``X`` is converted ``block`` rows at a time.
+    """
+    n, d = X.shape
+    # weights first, so that no partial sum exceeds the largest feature
+    mu = np.full(n, 1.0 / n) @ X
+    with np.errstate(over="ignore"):
+        spread = np.maximum(X.max(axis=0) - mu, mu - X.min(axis=0)).max()
+    if not np.isfinite(spread):
+        # features more than 1.8e308 apart: only no shift keeps x - mu finite
+        mu[:] = 0.0
+        spread = np.abs(X).max()
+    scale = math.ldexp(1.0, min(-math.frexp(spread)[1], 1023))
+    C = np.empty((n, d), dtype=np.float32)
+    for lo in range(0, n, block):
+        c = X[lo : lo + block] - mu
+        c *= scale
+        C[lo : lo + block] = c
+    norms2 = np.einsum("ij,ij->i", C, C, dtype=np.float64)
+    # Rounding bound in the scaled units, for d < 2^22 (beyond it every row
+    # is searched exactly), with u = 2^-24, g = d u / (1 - d u) and
+    # r_i = |c_i| + max_j |c_j|, so that |c_i| + |c_j| <= r_i:
+    #  - centering and cast: c = (x - mu) scale (1 + e) entrywise, with
+    #    |e| <= u + 2^-53 + 2^-77; mu cancels in c_i - c_j, so |c_i - c_j|^2
+    #    lies within (2|e| + e^2) / (1 - |e|)^2 r_i^2 <= 2.01 u r_i^2 of
+    #    scale^2 |x_i - x_j|^2;
+    #  - sq[j], |c_j|^2 rounded from float64 to float32: u |c_j|^2 <= u r_i^2;
+    #  - -2 c_i.c_j by the float32 GEMM, in any summation order:
+    #    2 g |c_i||c_j| <= g r_i^2 / 2;
+    #  - adding sq[j] to it in float32: u (1 + g)(|c_j|^2 + 2|c_i||c_j|)
+    #    <= u (1 + g) r_i^2;
+    #  - sq[i] in place of |c_i|^2: u r_i^2 again;
+    #  - the float64 norms, term-by-term distances, sums and comparison of
+    #    _nearest: relative errors of (d + 8) 2^-53, below 0.1 u r_i^2;
+    #  - float32 underflow, at most 2^-150 per rounding: below
+    #    d 2^-147 + u r_i^2 / 8.
+    # With g / 2 + u g <= g, the sum is at most (g + 5.3 u) r_i^2 + d 2^-147.
+    u = 2.0**-24
+    g = d * u / (1 - d * u) if d < 2**22 else math.inf
+    r = np.sqrt(norms2) + math.sqrt(norms2.max())
+    slack = (g + 6 * u) * r**2 + d * 2.0**-147
+    return C, norms2.astype(np.float32), scale, slack
+
+
+def _candidate_form(C, sq, lo, out):
+    """|c_j|^2 - 2 c_i.c_j in float32 for the rows i = lo, lo + 1, ... of
+    ``out`` and every row j of ``C``, written into out[:, :len(C)]; |c_i|^2,
+    the same along a row, is left out."""
+    D = out[:, : len(C)]
+    np.matmul(C[lo : lo + len(out)] * np.float32(-2), C.T, out=D)
+    D += sq
+    return out
 
 
 def _rank(X, rows, cand, k):

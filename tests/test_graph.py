@@ -13,8 +13,10 @@ from varprop import (
     Graph,
     LabelSet,
     build_knn_graph,
+    graph,
     graph_from_edges,
     laplacian_apply,
+    make_cluster_dataset,
     objective_value,
     read_edgelist,
     variance,
@@ -62,6 +64,62 @@ class TestKnnConstruction:
         g = build_knn_graph(X, 5)
         np.testing.assert_allclose(g.adjacency.toarray(), brute_force_knn_weights(X, 5), atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "n,k,scale,column",
+        [(5, 2, 1.0, 1.0), (17, 4, 1.0, 1.0), (33, 6, 1.0, 1.0),
+         (60, 5, 1e-100, 1.0), (60, 5, 1e100, 1.0), (60, 5, 1.0, 1e6)],
+        ids=["n5", "n17", "n33", "scale1e-100", "scale1e100", "column1e6"],
+    )
+    def test_candidate_pass_edges_match_brute_force(self, n, k, scale, column):
+        # n below the column group width or not a multiple of it; features
+        # whose float32 copy must be rescaled, or is dominated by one column
+        rng = np.random.Generator(np.random.Philox(n))
+        X = scale * rng.normal(size=(n, 4))
+        X[:, 0] *= column
+        g = build_knn_graph(X, k)
+        np.testing.assert_allclose(g.adjacency.toarray(), brute_force_knn_weights(X, k), atol=1e-14)
+
+    def test_features_farther_apart_than_float64_holds(self, silence_runtime_warnings):
+        # x - mean(x) overflows, so the float32 copy is scaled but not centered
+        X = np.array([[-1.7e308], [1.7e308], [-1.7e308], [1.7e308], [1.7e308]])
+        g = build_knn_graph(X, 1)
+        np.testing.assert_allclose(g.adjacency.toarray(), brute_force_knn_weights(X, 1), atol=1e-14)
+
+    @pytest.mark.parametrize("data", ["desk", "desk+1e3", "1e3+1e-6N"])
+    def test_offsets_need_no_exact_research(self, data, monkeypatch):
+        # the float32 copy is centered, so a common offset costs it no digits
+        researched = []
+        rank = graph._rank
+
+        def counting_rank(X, rows, cand, k):
+            if cand.shape[1] == X.shape[0] - 1:
+                researched.extend(rows)
+            return rank(X, rows, cand, k)
+
+        monkeypatch.setattr(graph, "_rank", counting_rank)
+        if data == "1e3+1e-6N":
+            X, k = 1e3 + 1e-6 * np.random.Generator(np.random.Philox(3)).normal(size=(600, 64)), 8
+        else:
+            X, k = make_cluster_dataset(2000, 10)[0] + (1e3 if data == "desk+1e3" else 0.0), 10
+        build_knn_graph(X, k)
+        assert researched == []
+
+    @pytest.mark.parametrize(
+        "offset,scale,column",
+        [(0.0, 1.0, 1.0), (1e3, 1e-6, 1.0), (0.0, 1e-100, 1.0), (0.0, 1e100, 1.0), (0.0, 1.0, 1e6)],
+        ids=["normal", "offset1e3", "scale1e-100", "scale1e100", "column1e6"],
+    )
+    def test_candidate_form_within_slack(self, offset, scale, column):
+        rng = np.random.Generator(np.random.Philox(23))
+        X = offset + scale * rng.normal(size=(70, 6))
+        X[:, 0] *= column
+        n = X.shape[0]
+        C, sq, s, slack = graph._candidate_copy(X, 16)
+        form = graph._candidate_form(C, sq, 0, np.empty((n, n), dtype=np.float32))
+        diff = X[:, None, :] - X[None, :, :]
+        exact = (s * np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))) ** 2
+        assert np.all(np.abs(form.astype(np.float64) + sq[:, None] - exact) <= slack[:, None])
+
     def test_multi_block_pattern_matches_kd_tree(self):
         rng = np.random.Generator(np.random.Philox(11))
         X = rng.normal(size=(3000, 16))
@@ -96,9 +154,11 @@ class TestKnnConstruction:
 
     @pytest.mark.parametrize("shape", [(2100, 256), (4200, 128)], ids=["2100x256", "4200x128"])
     def test_peak_memory_bounded_by_features(self, shape):
-        # 4.3 MB of features in each shape.  The search's blocks set the peak:
-        # 1.14x X.nbytes at 2100x256 (2.18x with twice the block budget) and
-        # 1.40x at 4200x128, where the edge merge that follows peaks at 1.14x
+        # 4.3 MB of features in each shape.  The search sets the peak: its
+        # float32 copy of the features (0.5x X.nbytes) plus one block's
+        # temporaries, both paid for from one budget of X.nbytes, reach 1.10x
+        # at 2100x256 and 1.15x at 4200x128, where the edge merge that
+        # follows peaks at 1.14x
         X = np.random.Generator(np.random.Philox(17)).normal(size=shape)
         tracemalloc.start()
         try:
