@@ -38,8 +38,11 @@ class Graph:
     ``degree_weights`` are the degrees normalized to sum to one.  Build one
     with :func:`graph_from_edges` or :meth:`from_adjacency`, which apply the
     same rules.  Each graph builds its Laplacian and its component labels
-    once, on first use.  Instances are safe to share between concurrent
-    solver runs; treat every field and every cached array as read-only.
+    once, on first use.  It also computes lambda_2 of the pencil
+    (L, diag q) at most once, with ``estimate_stability_limit``, on the
+    first v_poisson solve with ``lam > 0``, whose near-bound warning reads
+    it.  Instances are safe to share between concurrent solver runs; treat
+    every field and every cached array as read-only.
     """
 
     n: int
@@ -63,6 +66,12 @@ class Graph:
     def components(self):
         """``(count, labels)`` of the connected components, computed on first use."""
         return csgraph.connected_components(self.adjacency, directed=False)
+
+    @cached_property
+    def _stability_limit(self) -> float:
+        from .solvers import estimate_stability_limit  # solvers imports this module
+
+        return estimate_stability_limit(self)
 
     @classmethod
     def from_adjacency(cls, matrix) -> "Graph":

@@ -12,13 +12,16 @@ from helpers import random_connected_graph, random_label_set
 from varprop import (
     LabelSet,
     SolverConfig,
+    build_knn_graph,
     dense_oracle_solve,
     estimate_stability_limit,
     graph_from_edges,
     laplacian_apply,
+    make_cluster_dataset,
     objective_value,
     predict,
     solve,
+    solvers,
     variance,
     weighted_mean,
 )
@@ -155,16 +158,24 @@ class TestNonConvergence:
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 5])
     def test_laplace_iterate_matches_reference_cg(self, problem, max_iter):
+        # block CG's m-th iterate is the Galerkin solution over the block
+        # Krylov space span{D^-1 B, (D^-1 A) D^-1 B, ...} of m blocks
         g, ls = problem
         res = solve(g, ls, SolverConfig(method="laplace", max_iter=max_iter))
         unlabeled = np.setdiff1d(np.arange(g.n), ls.nodes)
         L = g.laplacian_matrix()
-        A = L[unlabeled][:, unlabeled]
+        A = L[unlabeled][:, unlabeled].toarray()
         rhs = -(L[unlabeled][:, ls.nodes] @ ls.onehot_matrix())
-        jacobi = sparse.diags(1.0 / A.diagonal())
-        for c in range(ls.k):
-            ref, _ = sparse_cg(A, rhs[:, c], rtol=0.0, atol=0.0, maxiter=max_iter, M=jacobi)
-            np.testing.assert_allclose(res.u[unlabeled, c], ref, rtol=1e-10, atol=1e-12)
+        d = np.diag(A)[:, None]
+        newest = basis = np.linalg.qr(rhs / d)[0]
+        for _ in range(max_iter - 1):
+            fresh = (A @ newest) / d
+            for _ in range(2):
+                fresh -= basis @ (basis.T @ fresh)
+            newest = np.linalg.qr(fresh)[0]
+            basis = np.hstack([basis, newest])
+        ref = basis @ np.linalg.solve(basis.T @ A @ basis, basis.T @ rhs)
+        np.testing.assert_allclose(res.u[unlabeled], ref, rtol=1e-10, atol=1e-12)
 
 
 class TestPoisson:
@@ -355,6 +366,38 @@ class TestStabilityBound:
             warnings.simplefilter("error")
             assert solve(g, ls, replace(cfg, lam=0.8 * bound)).converged
 
+    @pytest.fixture
+    def estimates(self, monkeypatch):
+        """Graphs passed to ``estimate_stability_limit``, counted through the solvers module."""
+        seen = []
+        estimate = solvers.estimate_stability_limit
+
+        def counted(g):
+            seen.append(g)
+            return estimate(g)
+
+        monkeypatch.setattr(solvers, "estimate_stability_limit", counted)
+        return seen
+
+    def test_lambda2_computed_once_per_graph(self, estimates):
+        g = random_connected_graph(25, 30)
+        for seed in range(4):
+            ls = random_label_set(seed, 30, 3, 2)
+            for lam in (0.05, 1.0, 3.0):
+                solve(g, ls, SolverConfig(method="v_poisson", lam=lam))
+        assert estimates == [g]
+        twin = random_connected_graph(25, 30)
+        solve(twin, random_label_set(0, 30, 3, 2), SolverConfig(method="v_poisson", lam=1.0))
+        assert estimates == [g, twin]
+
+    def test_lambda2_not_computed_without_variance_weight_on_poisson(self, estimates):
+        g = random_connected_graph(26, 30)
+        ls = random_label_set(26, 30, 3, 2)
+        for method in ("laplace", "poisson", "v_laplace"):
+            solve(g, ls, SolverConfig(method=method, lam=1.0))
+        solve(g, ls, SolverConfig(method="v_poisson", lam=0.0))
+        assert estimates == []
+
     def test_v_laplace_converges_below_estimate_without_warning(self):
         g = random_connected_graph(7000, 40)
         ls = random_label_set(0, 40, 2, 1)
@@ -364,6 +407,93 @@ class TestStabilityBound:
             res = solve(g, ls, cfg)
         assert res.converged
         assert np.abs(res.u - dense_oracle_solve(g, ls, cfg).u).max() <= 1e-6
+
+
+class TestBlockPCG:
+    """The k class columns share one block iteration, whose rank-deficient
+    blocks (dependent or zero columns) must still give the oracle's answer."""
+
+    @pytest.mark.parametrize("method", ["poisson", "v_poisson"])
+    def test_two_class_sources_are_negatives(self, method):
+        g = random_connected_graph(31, 40)
+        ls = random_label_set(31, 40, 2, 2)
+        cfg = SolverConfig(method=method, lam=0.5)
+        # the two source columns are negatives of each other: a rank-one block
+        res = solve(g, ls, cfg)
+        assert res.converged
+        np.testing.assert_allclose(res.u[:, 0], -res.u[:, 1], atol=1e-12)
+        np.testing.assert_allclose(res.u, dense_oracle_solve(g, ls, cfg).u, atol=1e-6)
+
+    def test_zero_right_hand_side_column(self):
+        # node 30 (class 0) hangs off node 0 (class 1), so no unlabeled node
+        # touches class 0 and its right-hand-side column is zero
+        base = random_connected_graph(32, 30)
+        coo = base.adjacency.tocoo()
+        keep = coo.row < coo.col
+        g = graph_from_edges(31, np.append(coo.row[keep], 30), np.append(coo.col[keep], 0),
+                             np.append(coo.data[keep], 1.0))
+        ls = LabelSet(k=3, entries=((30, 0), (0, 1), (7, 1), (12, 2), (21, 2)))
+        cfg = SolverConfig(method="laplace")
+        res = solve(g, ls, cfg)
+        assert res.converged
+        unlabeled = np.setdiff1d(np.arange(g.n), ls.nodes)
+        assert np.abs(res.u[unlabeled, 0]).max() <= 1e-12
+        np.testing.assert_allclose(res.u, dense_oracle_solve(g, ls, cfg).u, atol=1e-6)
+
+    @pytest.mark.parametrize("method", ["laplace", "v_laplace"])
+    def test_single_class(self, method):
+        g = random_connected_graph(33, 30)
+        ls = LabelSet(k=1, entries=((3, 0), (17, 0)))
+        cfg = SolverConfig(method=method, lam=0.5)
+        res = solve(g, ls, cfg)
+        assert res.converged
+        np.testing.assert_allclose(res.u, dense_oracle_solve(g, ls, cfg).u, atol=1e-6)
+        np.testing.assert_allclose(res.u, 1.0, atol=1e-6)
+
+    def test_block_without_positive_curvature_raises(self):
+        # diag(1, 0) has no positive curvature along the right-hand side (0, 1)
+        A = sparse.csr_array(np.diag([1.0, 0.0]))
+        b = np.array([[0.0], [1.0]])
+        with pytest.raises(DivergenceError, match="no search direction of positive curvature"):
+            solvers._pcg(lambda v: A @ v, b, np.ones(2), 1e-8, 10)
+
+    @pytest.fixture(scope="class")
+    def clusters(self):
+        """A 600-node cluster graph with the first node of each of its 10 classes labeled."""
+        X, y = make_cluster_dataset(n_samples=600, n_classes=10)
+        first = [int(np.flatnonzero(y == c)[0]) for c in range(10)]
+        return build_knn_graph(X, 10), LabelSet(k=10, entries=tuple((i, c) for c, i in enumerate(first)))
+
+    @pytest.mark.parametrize("method", ["poisson", "v_poisson"])
+    def test_dependent_column_adds_no_step(self, clusters, method):
+        # a poisson source's columns sum to zero, so its last column adds
+        # nothing to the block Krylov space; a kept roundoff-level
+        # eigenvalue of W^T A W would cost extra steps here
+        g, ls = clusters
+        system = solvers._assemble(g, ls, SolverConfig(method=method, lam=5.0))
+        args = system.diagonal, 1e-8, 1000, system.project
+        full = solvers._pcg(system.matvec, system.rhs, *args)
+        reduced = solvers._pcg(system.matvec, system.rhs[:, :-1], *args)
+        assert full[1] == reduced[1]
+        np.testing.assert_allclose(full[0][:, :-1], reduced[0], rtol=0, atol=1e-12)
+
+    def test_fewer_iterations_than_any_column_alone(self, clusters):
+        g, ls = clusters
+        cfg = SolverConfig(method="laplace")
+        res = solve(g, ls, cfg)
+        assert res.converged
+        unlabeled = np.setdiff1d(np.arange(g.n), ls.nodes)
+        L = g.laplacian_matrix()
+        A = L[unlabeled][:, unlabeled]
+        rhs = -(L[unlabeled][:, ls.nodes] @ ls.onehot_matrix())
+        jacobi = sparse.diags_array(1.0 / A.diagonal())
+        counts = []
+        for c in range(ls.k):
+            steps = []
+            _, info = sparse_cg(A, rhs[:, c], rtol=cfg.tol, M=jacobi, callback=steps.append)
+            assert info == 0
+            counts.append(len(steps))
+        assert res.iterations < max(counts)
 
 
 class TestPredict:
