@@ -37,8 +37,9 @@ class Graph:
     diagonal.  ``degrees[i]`` is the row sum of ``adjacency`` and
     ``degree_weights`` are the degrees normalized to sum to one.  Build one
     with :func:`graph_from_edges` or :meth:`from_adjacency`, which apply the
-    same rules.  Each graph builds its Laplacian and its component labels
-    once, on first use.  It also computes lambda_2 of the pencil
+    same rules.  Each graph builds its Laplacian, the positions of its
+    diagonal among the stored values, and its component labels once, on
+    first use.  It also computes lambda_2 of the pencil
     (L, diag q) at most once, with ``estimate_stability_limit``, on the
     first v_poisson solve with ``lam > 0``, whose near-bound warning reads
     it.  Instances are safe to share between concurrent solver runs; treat
@@ -61,6 +62,13 @@ class Graph:
     @cached_property
     def _laplacian(self) -> sparse.csr_array:
         return (sparse.diags_array(self.degrees) - self.adjacency).tocsr()
+
+    @cached_property
+    def _diagonal_positions(self) -> np.ndarray:
+        """Positions of the diagonal in the Laplacian's values, one per row:
+        every node has a positive degree, so every row stores its diagonal."""
+        L = self._laplacian
+        return np.flatnonzero(L.indices == np.repeat(np.arange(self.n), np.diff(L.indptr)))
 
     @cached_property
     def components(self):

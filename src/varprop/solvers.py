@@ -17,21 +17,30 @@ LabelSet and a SolverConfig and return a SolveResult whose ``u`` is the
                lam = 0.1 its desk accuracy equals laplace's; no run shows
                yet that the rewarded spread counters collapse (ROADMAP
                item 1).  Since ubar = q_u^T u_u + q_l^T y is linear in
-               the unknowns, this is the single system
-               (L_uu - lam diag(q_u) + lam q_u q_u^T) u_u
-               = -L_ul y - lam q_u (q_l^T y),
-               whose matvec adds the rank-one coupling to the sparse
-               shifted block.
+               the unknowns, the mean moves into the operator as the
+               rank-one coupling lam q_u q_u^T.
 ``v_poisson``  adds the same variance term to the poisson system, giving
                (L - lam * diag(q)) u = source under the zero-mean
                constraint (the constraint makes ubar vanish).
 
-Each method's system is assembled once, by ``_assemble``; ``solve`` runs
-one block Jacobi-PCG on it, over all k class columns at once, and
-``dense_oracle_solve`` factors it densely.  The columns share one block
-Krylov space, which takes in the graph's slow cluster modes for every
-class together: on the desk graph a solve takes 16 to 18 block steps,
-where k column-wise CGs in lockstep took 24 to 28.
+Each method's system is assembled once, by ``_assemble``, as one
+full-length system on the graph's cached Laplacian,
+
+    P (L - lam diag(c) + lam c c^T) P x = rhs,
+
+where P zeroes the labeled rows of the clamped family, c is q with the
+labeled entries zeroed (clamped family) or q itself (poisson family), and
+lam is 0 for laplace and poisson.  On {q^T u = 0} the poisson operator is
+the constrained one, so no projection is needed: for lam up to lambda_2 it
+is positive semidefinite with null space 1, every source lies in its
+range, and the q-mean is removed from the answer once.  The class columns
+of u sum to a known vector (1 on free nodes for the clamped family, 0 for
+the poisson family), so only the first k - 1 are solved.  ``solve`` runs
+one block Jacobi-PCG on them, and ``dense_oracle_solve`` densifies the
+same operator.  The columns share one block Krylov space, which takes in
+the graph's slow cluster modes for every class together: on the desk graph
+a solve takes 16 to 18 block steps, where k column-wise CGs in lockstep
+took 24 to 28.
 
 The variance term is maximized, so both v_* systems lose positive
 definiteness once ``lam`` passes a graph-dependent stability bound.  For
@@ -115,10 +124,14 @@ class SolveResult:
 
     ``u`` is the (n, k) score matrix.  ``iterations`` is the number of
     block PCG steps on the one linear system the method solves, shared by
-    all k columns (0 for the trivial cases and for ``dense_oracle_solve``).  ``final_residual`` is the
-    Frobenius norm of that system's residual relative to its right-hand
-    side.  ``converged`` is False when ``max_iter`` ran out first; ``u`` is
-    then the last iterate, the one ``final_residual`` describes.
+    its columns (0 for the trivial cases and for ``dense_oracle_solve``).
+    That system has the first k - 1 class columns only: the last column of
+    ``u`` is recovered from the known row sum.  ``final_residual`` is the
+    Frobenius norm of that (k - 1)-column system's residual relative to
+    its right-hand side; the residual of all k columns is at most
+    sqrt(k) times it, since the last column's residual is minus the sum of
+    the others'.  ``converged`` is False when ``max_iter`` ran out first;
+    ``u`` is then the last iterate, the one ``final_residual`` describes.
     """
 
     u: np.ndarray
@@ -127,7 +140,7 @@ class SolveResult:
     converged: bool
 
 
-def _pcg(matvec, b, diag, tol, max_iter, project=None):
+def _pcg(matvec, b, diag, tol, max_iter):
     """Block Jacobi-preconditioned conjugate gradients on all columns of ``b``.
 
     The k columns share one block Krylov space (O'Leary 1980): each step
@@ -137,23 +150,23 @@ def _pcg(matvec, b, diag, tol, max_iter, project=None):
     ``Z`` the preconditioned residual.  ``G^+`` is the pseudo-inverse over
     the eigenvalues of ``G`` above 1e-13 of the largest.  It drops the
     directions of a rank-deficient block (Ji & Li 2017), such as a zero
-    right-hand-side column or a poisson source, whose columns sum to zero.
-    With one column this is plain CG, and ``a`` and ``-G^+ Q^T Z`` are its
-    step and direction coefficients.
+    right-hand-side column.  With one column this is plain CG, and ``a``
+    and ``-G^+ Q^T Z`` are its step and direction coefficients.  ``A`` may
+    be positive semidefinite when ``b`` lies in its range (Kaasschieter
+    1988): ``G`` and ``W^T R`` do not see the null-space parts of ``W``,
+    which reach only ``X``.
 
     Returns ``(x, iterations, relative_residual, converged, coeffs)`` with
     the residual measured in the Frobenius norm relative to ``|b|``,
     ``iterations`` the number of block steps and ``coeffs`` the k x k step
-    and direction coefficients of each step, ``(steps, directions)``.  When
-    ``project`` is given it is applied to every preconditioned residual so
-    the iterates stay inside the constraint subspace.  There are three
-    exits: convergence returns the current iterate; running out of
-    ``max_iter`` returns the last iterate with ``converged=False``; a
-    block on which ``G`` has an eigenvalue below roundoff (negative
-    curvature), or none above the drop threshold (no positive curvature),
-    raises DivergenceError.  Returning the last iterate is sound: each
-    block CG iterate minimizes the A-norm error of every column over the
-    block Krylov space.
+    and direction coefficients of each step, ``(steps, directions)``.
+    There are three exits: convergence returns the current iterate;
+    running out of ``max_iter`` returns the last iterate with
+    ``converged=False``; a block on which ``G`` has an eigenvalue below
+    roundoff (negative curvature), or none above the drop threshold (no
+    positive curvature), raises DivergenceError.  Returning the last
+    iterate is sound: each block CG iterate minimizes the A-norm error of
+    every column over the block Krylov space.
     """
     bnorm = float(np.linalg.norm(b))
     x = np.zeros_like(b)
@@ -163,8 +176,6 @@ def _pcg(matvec, b, diag, tol, max_iter, project=None):
     D = np.broadcast_to(diag[:, None], b.shape).copy()
     r = b.copy()
     z = r / D
-    if project is not None:
-        z = project(z)
     w = z.copy()
     t = np.empty_like(b)
     for iterations in range(1, max_iter + 1):
@@ -192,8 +203,6 @@ def _pcg(matvec, b, diag, tol, max_iter, project=None):
         if rel <= tol:
             return x, iterations, rel, True, (steps, directions)
         np.divide(r, D, out=z)
-        if project is not None:
-            z = project(z)
         c = Gplus @ (q.T @ z)
         directions.append(-c)
         np.subtract(z, np.matmul(w, c, out=t), out=w)
@@ -204,25 +213,26 @@ def estimate_stability_limit(g: Graph) -> float:
     """lambda_2 of the pencil (L, diag q): the v_poisson stability bound.
 
     Every v_* system is positive definite for ``lam`` below lambda_2.  The
-    value is the smallest Ritz value of one Jacobi-PCG solve of the
-    ``lam = 0`` poisson system with a fixed right-hand side, times the total
-    degree, and lies within 1% above lambda_2.  With one column the block
-    PCG is plain CG, whose step and direction coefficients ``a_i, b_i``
-    define a Lanczos tridiagonal with diagonal ``1/a_i + b_(i-1)/a_(i-1)``
-    and off-diagonal ``sqrt(b_i)/a_i`` (Saad, Iterative Methods for Sparse
-    Linear Systems, section 6.7); its lowest eigenvalue approaches the
-    preconditioned operator's from above.  Returns 0.0 on a disconnected
-    graph, where lambda_2 vanishes.  ``solve`` computes it once per graph,
-    for the v_poisson near-bound warning.
+    value is the smallest Ritz value of one Jacobi-PCG solve of ``L x = b``,
+    the ``lam = 0`` poisson system, with a fixed ``b`` in the range of L,
+    times the total degree, and lies within 1% above lambda_2.  Since
+    ``1^T b = 0``, the preconditioned Krylov space is orthogonal to the
+    null space 1 in the diag(q) inner product, so the iteration needs no
+    projection.  With one column the block PCG is plain CG, whose step and
+    direction coefficients ``a_i, b_i`` define a Lanczos tridiagonal with
+    diagonal ``1/a_i + b_(i-1)/a_(i-1)`` and off-diagonal
+    ``sqrt(b_i)/a_i`` (Saad, Iterative Methods for Sparse Linear Systems,
+    section 6.7); its lowest eigenvalue approaches the preconditioned
+    operator's from above.  Returns 0.0 on a disconnected graph, where
+    lambda_2 vanishes.  ``solve`` computes it once per graph, for the
+    v_poisson near-bound warning.
     """
     if g.components[0] != 1:
         return 0.0
     b = np.cos(1.3 * np.arange(g.n) + 0.9)[:, None]
     b -= b.mean()  # in the range of L, like every poisson source
-    system = _System(A=g.laplacian_matrix(), rhs=b, lam=0.0, q=g.degree_weights)
-    steps, directions = _pcg(
-        system.matvec, b, system.diagonal, 1e-12, g.n, project=system.project
-    )[4]
+    L = g.laplacian_matrix()
+    steps, directions = _pcg(lambda v: L @ v, b, L.diagonal(), 1e-12, g.n)[4]
     a = np.ravel(steps)
     beta = np.ravel(directions)[: a.size - 1]
     d = 1.0 / a
@@ -233,55 +243,51 @@ def estimate_stability_limit(g: Graph) -> float:
 
 @dataclass(frozen=True)
 class _System:
-    """One method's linear system ``(A + lam c c^T) x = rhs``.
+    """One method's system ``P (A + lam c c^T) P x = rhs`` over all n rows.
 
-    The clamped family (laplace, v_laplace) solves for the rows ``free``;
-    ``clamped`` holds the one-hot targets at labeled rows.  The poisson
-    family solves for all rows under the constraint ``q^T x = 0``: the
-    range side of the operator and every search direction are projected.
-    Only v_laplace has the rank-one mean coupling, ``c = q_u``.
+    ``A`` is ``L - lam diag(c)``: the graph's cached Laplacian, or at
+    ``lam > 0`` a copy of its values shifted at the diagonal, on the same
+    index arrays.  ``rhs`` holds the first k - 1 class columns; ``result``
+    recovers the last from the known row sum of ``u``.  The clamped family
+    (laplace, v_laplace) has ``labeled`` rows, which P zeroes, where ``u``
+    takes the targets ``y``; ``c`` is q with those rows zeroed, and every
+    row of ``u`` sums to 1.  The poisson family has no P and ``c = q``: its
+    operator is positive semidefinite with null space 1 while ``lam`` is
+    below lambda_2, the source lies in its range, and ``result`` removes
+    the q-mean; every row of ``u`` sums to 0.
     """
 
     A: sparse.csr_array
     rhs: np.ndarray
+    diagonal: np.ndarray
     lam: float
-    coupling: np.ndarray = None
-    free: np.ndarray = None
-    clamped: np.ndarray = None
-    q: np.ndarray = None
+    c: np.ndarray
+    labeled: np.ndarray = None
+    y: np.ndarray = None
 
     @property
     def trivial(self) -> bool:
         """No unknowns (every node labeled) or a zero right-hand side."""
         return not self.rhs.any()
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        d = self.A.diagonal()
-        if self.coupling is not None:
-            d += self.lam * self.coupling**2
-        return d
-
-    def matvec(self, v):
-        Av = self.A @ v
-        if self.coupling is not None:
-            Av += self.lam * np.einsum("i,j->ij", self.coupling, self.coupling @ v)
-        if self.q is not None:
-            # remove the constraint-multiplier direction from the range side
-            Av -= np.einsum("i,j->ij", self.q, np.einsum("ij->j", Av))
-        return Av
-
-    @property
-    def project(self):
-        q = self.q
-        # keep iterates in the zero q-mean subspace, in place
-        return None if q is None else lambda v: np.subtract(v, q @ v, out=v)
+    def matvec(self, w):
+        """The operator on a block ``w`` that is zero at the labeled rows."""
+        Aw = self.A @ w
+        if self.labeled is not None:
+            Aw[self.labeled] = 0.0
+        if self.lam > 0:
+            Aw += self.lam * np.einsum("i,j->ij", self.c, self.c @ w)
+        return Aw
 
     def result(self, x, iterations, final_residual, converged) -> SolveResult:
-        u = x
-        if self.free is not None:
-            u = self.clamped.copy()
-            u[self.free] = x
+        if self.labeled is None:
+            # the q-mean, along the null space 1; einsum rounds each product,
+            # so the mean of columns that cancel exactly is exactly 0
+            x -= np.einsum("i,ij->j", self.c, x)
+            u = np.column_stack([x, -x.sum(axis=1)])
+        else:
+            u = np.column_stack([x, 1.0 - x.sum(axis=1)])
+            u[self.labeled] = self.y
         return SolveResult(
             u=u, iterations=iterations, final_residual=final_residual, converged=converged
         )
@@ -304,6 +310,8 @@ def _assemble(g: Graph, labels: LabelSet, cfg: SolverConfig) -> _System:
     q = g.degree_weights
     il = labels.nodes
     y = labels.onehot_matrix()
+    L = g.laplacian_matrix()
+    c, labeled = q, None
 
     if cfg.method in ("laplace", "v_laplace"):
         missing = ncomp - np.unique(comp[il]).size
@@ -312,65 +320,65 @@ def _assemble(g: Graph, labels: LabelSet, cfg: SolverConfig) -> _System:
                 f"{missing} connected component(s) contain no labeled node; "
                 "propagation cannot reach them"
             )
-        iu = np.setdiff1d(np.arange(g.n), il)
-        clamped = np.zeros((g.n, labels.k))
-        clamped[il] = y
-        Lu = g.laplacian_matrix()[iu]
-        A = Lu[:, iu]
-        rhs = -(Lu[:, il] @ y)
-        coupling = None
-        if lam > 0:
-            # L_uu u - lam q_u (u - ubar) = -L_ul y with ubar = q_u^T u + q_l^T y
-            # moves the mean into the operator as the coupling lam q_u q_u^T
-            coupling = q[iu]
-            A = (A - lam * sparse.diags_array(coupling)).tocsr()
-            rhs -= lam * np.outer(coupling, q[il] @ y)
-        return _System(A=A, rhs=rhs, lam=lam, coupling=coupling, free=iu, clamped=clamped)
-
-    if ncomp != 1:
-        raise IllPosedError(
-            f"poisson-type learning requires a connected graph, found {ncomp} components"
-        )
-    source = np.zeros((g.n, labels.k))
-    source[il] = y - y.mean(axis=0)
-    if not source.any():
-        warnings.warn(
-            "poisson source vanished (single labeled node or a single represented "
-            "class); returning the zero solution",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    A = g.laplacian_matrix()
+        c, labeled = q.copy(), il
+        c[il] = 0.0
+        clamped = np.zeros((g.n, labels.k - 1))
+        clamped[il] = y[:, :-1]
+        # L_uu u - lam q_u (u - ubar) = -L_ul y with ubar = q_u^T u + q_l^T y
+        # moves the mean into the operator as the coupling lam c c^T
+        rhs = -(L @ clamped) - lam * np.outer(c, q[il] @ y[:, :-1])
+        rhs[il] = 0.0
+    else:
+        if ncomp != 1:
+            raise IllPosedError(
+                f"poisson-type learning requires a connected graph, found {ncomp} components"
+            )
+        rhs = np.zeros((g.n, labels.k - 1))
+        rhs[il] = (y - y.mean(axis=0))[:, :-1]
+        if not rhs.any():
+            warnings.warn(
+                "poisson source vanished (single labeled node or a single represented "
+                "class); returning the zero solution",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    diagonal = g._diagonal_positions
+    A = L
     if lam > 0:
-        A = (A - lam * sparse.diags_array(q)).tocsr()
-    return _System(A=A, rhs=source, lam=lam, q=q)
+        values = L.data.copy()
+        values[diagonal] -= lam * c
+        A = sparse.csr_array((values, L.indices, L.indptr), shape=L.shape)
+    return _System(
+        A=A, rhs=rhs, diagonal=A.data[diagonal] + lam * c**2, lam=lam, c=c, labeled=labeled, y=y
+    )
 
 
 def solve(g: Graph, labels: LabelSet, cfg: SolverConfig) -> SolveResult:
     """Run the solver selected by ``cfg.method``: one block Jacobi-PCG solve of its system.
 
-    All k class columns share the one block iteration, so ``iterations``
-    counts block steps.  Checks run in this order: labeled nodes, component
-    coverage or connectivity, the trivial cases (every node labeled,
-    vanished poisson source), a nonpositive Jacobi diagonal, then negative
-    curvature in the PCG; both of the last raise DivergenceError.  After the
-    PCG, a v_poisson solve with ``lam > 0`` warns when ``lam`` is at or
-    above 0.9x the graph's lambda_2 (``estimate_stability_limit``, computed
-    on the first such solve and cached with the graph).
+    The first k - 1 class columns share the one block iteration, so
+    ``iterations`` counts block steps; the last column follows from the
+    known row sum.  Checks run in this order: labeled nodes, component
+    coverage or connectivity, the trivial cases (every node labeled, one
+    class, a zero right-hand side such as a vanished poisson source), a
+    nonpositive Jacobi diagonal, then negative curvature in the PCG; both
+    of the last raise DivergenceError.  After the PCG, a v_poisson solve
+    with ``lam > 0`` warns when ``lam`` is at or above 0.9x the graph's
+    lambda_2 (``estimate_stability_limit``, computed on the first such
+    solve and cached with the graph).
     """
     system = _assemble(g, labels, cfg)
     if system.trivial:
         return system.result(np.zeros_like(system.rhs), 0, 0.0, True)
-    diag = system.diagonal
-    if diag.min() <= 0:
+    if system.diagonal.min() <= 0:
         raise DivergenceError(
             f"variance weight lam={system.lam:g} drives the shifted diagonal nonpositive; "
             "it is past the stability bound"
         )
     x, iters, rel, conv, _ = _pcg(
-        system.matvec, system.rhs, diag, cfg.tol, cfg.max_iter, project=system.project
+        system.matvec, system.rhs, system.diagonal, cfg.tol, cfg.max_iter
     )
-    if system.q is not None and system.lam > 0:
+    if system.labeled is None and system.lam > 0:
         bound = g._stability_limit
         if system.lam >= 0.9 * bound:
             warnings.warn(
@@ -393,13 +401,13 @@ def predict(u) -> np.ndarray:
 def dense_oracle_solve(g: Graph, labels: LabelSet, cfg: SolverConfig) -> SolveResult:
     """Dense-factorization reference solver for tests and verification.
 
-    Assembles the same system as ``solve`` and factors it with
-    numpy.linalg.solve: the sparse block densified plus the rank-one mean
-    coupling of v_laplace, bordered by the zero-mean constraint for the
-    poisson family.  ``final_residual`` is measured with the system's own
-    matvec.  It never warns about stability and never raises
-    DivergenceError; a singular system raises IllPosedError.  Capped at
-    500 nodes.
+    Assembles the same system as ``solve``, densifies its operator through
+    the system's own matvec and factors it with numpy.linalg.solve: the
+    labeled rows of the clamped family are decoupled as identity rows, and
+    the poisson family is bordered by the zero-mean constraint.
+    ``final_residual`` is measured with the same matvec.  It never warns
+    about stability and never raises DivergenceError; a singular system
+    raises IllPosedError.  Capped at 500 nodes.
     """
     if g.n > _ORACLE_MAX_NODES:
         raise OracleSizeError(
@@ -408,16 +416,18 @@ def dense_oracle_solve(g: Graph, labels: LabelSet, cfg: SolverConfig) -> SolveRe
     system = _assemble(g, labels, cfg)
     if system.trivial:
         return system.result(np.zeros_like(system.rhs), 0, 0.0, True)
-    M = system.A.toarray()
-    rhs = system.rhs
-    if system.coupling is not None:
-        M += system.lam * np.outer(system.coupling, system.coupling)
-    if system.q is not None:
-        q = system.q[:, None]
-        M = np.block([[M, q], [q.T, np.zeros((1, 1))]])
+    rhs, il = system.rhs, system.labeled
+    P = np.eye(g.n)
+    if il is None:
+        q = system.c[:, None]
+        M = np.block([[system.matvec(P), q], [q.T, np.zeros((1, 1))]])
         rhs = np.vstack([rhs, np.zeros((1, rhs.shape[1]))])
+    else:
+        P[il, il] = 0.0
+        M = system.matvec(P)
+        M[il, il] = 1.0  # rhs and x are zero at the labeled rows
     try:
-        x = np.linalg.solve(M, rhs)[: system.rhs.shape[0]]
+        x = np.linalg.solve(M, rhs)[: g.n]
     except np.linalg.LinAlgError as exc:
         raise IllPosedError(f"{cfg.method} system is singular: {exc}") from exc
     resid = system.rhs - system.matvec(x)

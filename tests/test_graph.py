@@ -79,6 +79,25 @@ class TestKnnConstruction:
         g = build_knn_graph(X, k)
         np.testing.assert_allclose(g.adjacency.toarray(), brute_force_knn_weights(X, k), atol=1e-14)
 
+    def test_rounded_near_ties_fill_every_kept_group(self):
+        # Each center has k + 5 = pool + 1 neighbors at distances 1 + 1e-9 s,
+        # s = 0..k + 4, which float32 cannot order.  They lie in distinct
+        # column groups whose other columns are far.  Keeping one group
+        # fewer than pool + 1 would drop one of them, possibly a true
+        # neighbor, while the first kept value left out would be a far
+        # column, so the row would skip the exact re-search.
+        k, d = 2, 8
+        rng = np.random.Generator(np.random.Philox(0))
+        rows = []
+        for _ in range(14):
+            center = 20.0 * rng.normal(size=d)
+            rows.append(center)
+            for s in rng.permutation(k + 5):
+                rows.append(center + (1.0 + 1e-9 * s) * np.eye(d)[s])
+        X = np.array(rows)
+        g = build_knn_graph(X, k)
+        np.testing.assert_allclose(g.adjacency.toarray(), brute_force_knn_weights(X, k), atol=1e-14)
+
     def test_features_farther_apart_than_float64_holds(self, silence_runtime_warnings):
         # x - mean(x) overflows, so the float32 copy is scaled but not centered
         X = np.array([[-1.7e308], [1.7e308], [-1.7e308], [1.7e308], [1.7e308]])

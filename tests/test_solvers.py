@@ -127,8 +127,11 @@ class TestNonConvergence:
         return random_connected_graph(1, 40), random_label_set(1, 40, 2, 1)
 
     def residual(self, g, ls, cfg, u):
-        """Relative residual of ``u`` in ``cfg.method``'s system, from laplacian_apply."""
-        y = ls.onehot_matrix()
+        """Relative residual of ``u`` in ``cfg.method``'s system, from laplacian_apply.
+
+        The solved system has the first k - 1 class columns; the last one
+        follows from the known row sum."""
+        u, y = u[:, :-1], ls.onehot_matrix()[:, :-1]
         Lu = laplacian_apply(g, u)
         if cfg.method == "laplace":
             # rhs - L_uu u_u with rhs = -L_ul y is -(Lu) at the unlabeled rows
@@ -158,14 +161,15 @@ class TestNonConvergence:
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 5])
     def test_laplace_iterate_matches_reference_cg(self, problem, max_iter):
-        # block CG's m-th iterate is the Galerkin solution over the block
-        # Krylov space span{D^-1 B, (D^-1 A) D^-1 B, ...} of m blocks
+        # block CG's m-th iterate on the first k - 1 columns B is the Galerkin
+        # solution over the block Krylov space span{D^-1 B, (D^-1 A) D^-1 B, ...}
+        # of m blocks; the last column is 1 minus their sum
         g, ls = problem
         res = solve(g, ls, SolverConfig(method="laplace", max_iter=max_iter))
         unlabeled = np.setdiff1d(np.arange(g.n), ls.nodes)
         L = g.laplacian_matrix()
         A = L[unlabeled][:, unlabeled].toarray()
-        rhs = -(L[unlabeled][:, ls.nodes] @ ls.onehot_matrix())
+        rhs = -(L[unlabeled][:, ls.nodes] @ ls.onehot_matrix()[:, :-1])
         d = np.diag(A)[:, None]
         newest = basis = np.linalg.qr(rhs / d)[0]
         for _ in range(max_iter - 1):
@@ -175,6 +179,7 @@ class TestNonConvergence:
             newest = np.linalg.qr(fresh)[0]
             basis = np.hstack([basis, newest])
         ref = basis @ np.linalg.solve(basis.T @ A @ basis, basis.T @ rhs)
+        ref = np.column_stack([ref, 1.0 - ref.sum(axis=1)])
         np.testing.assert_allclose(res.u[unlabeled], ref, rtol=1e-10, atol=1e-12)
 
 
@@ -471,9 +476,11 @@ class TestBlockPCG:
         # eigenvalue of W^T A W would cost extra steps here
         g, ls = clusters
         system = solvers._assemble(g, ls, SolverConfig(method=method, lam=5.0))
-        args = system.diagonal, 1e-8, 1000, system.project
-        full = solvers._pcg(system.matvec, system.rhs, *args)
-        reduced = solvers._pcg(system.matvec, system.rhs[:, :-1], *args)
+        args = system.diagonal, 1e-8, 1000
+        # the system holds the first k - 1 source columns; the last is minus their sum
+        source = np.column_stack([system.rhs, -system.rhs.sum(axis=1)])
+        full = solvers._pcg(system.matvec, source, *args)
+        reduced = solvers._pcg(system.matvec, system.rhs, *args)
         assert full[1] == reduced[1]
         np.testing.assert_allclose(full[0][:, :-1], reduced[0], rtol=0, atol=1e-12)
 
@@ -494,6 +501,77 @@ class TestBlockPCG:
             assert info == 0
             counts.append(len(steps))
         assert res.iterations < max(counts)
+
+
+class TestFullLengthSystem:
+    """Each method solves one full-length system on the graph's Laplacian:
+    the poisson family with no projection, on a positive semidefinite
+    operator whose range holds the source, and all methods on k - 1 class
+    columns, the last recovered from the known row sum."""
+
+    # block steps at (poisson, v_poisson) x (tol 1e-15, 2.3e-16) of the
+    # k-column iteration that projected every step onto q^T u = 0
+    PROJECTED_STEPS = {
+        1200: (41, 42, 41, 42),
+        1201: (41, 42, 41, 42),
+        1202: (40, 42, 40, 42),
+        1203: (42, 43, 41, 43),
+        1204: (40, 42, 40, 42),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PROJECTED_STEPS))
+    def test_poisson_family_converges_at_tight_tolerances(self, seed):
+        g = random_connected_graph(seed, 400)
+        ls = random_label_set(seed, 400, 4, 2)
+        cases = [(method, tol) for method in ("poisson", "v_poisson") for tol in (1e-15, 2.3e-16)]
+        for (method, tol), steps in zip(cases, self.PROJECTED_STEPS[seed]):
+            cfg = SolverConfig(method=method, lam=0.1, tol=tol)
+            res = solve(g, ls, cfg)
+            assert res.converged and res.iterations <= steps, (method, tol, res.iterations)
+            np.testing.assert_allclose(res.u, dense_oracle_solve(g, ls, cfg).u, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", sorted(PROJECTED_STEPS))
+    def test_v_poisson_near_its_bound_matches_oracle(self, seed):
+        # at 0.99 lambda_2 the operator's least nonzero eigenvalue is small,
+        # and its null space 1 is still the only one
+        g = random_connected_graph(seed, 400)
+        ls = random_label_set(seed, 400, 4, 2)
+        cfg = SolverConfig(method="v_poisson", lam=0.99 * dense_v_poisson_bound(g))
+        with pytest.warns(RuntimeWarning, match="stability bound"):
+            res = solve(g, ls, cfg)
+        assert res.converged
+        oracle = dense_oracle_solve(g, ls, cfg).u
+        assert np.abs(res.u - oracle).max() <= 1e-8 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("max_iter", [2, 10000])
+    @pytest.mark.parametrize("method", ["laplace", "poisson", "v_laplace", "v_poisson"])
+    def test_full_residual_within_sqrt_k_of_final_residual(self, method, max_iter):
+        # the last column's residual is minus the sum of the other k - 1, so
+        # the k-column residual, recomputed from public operators, is at most
+        # sqrt(k) times the (k - 1)-column one that final_residual reports
+        g = random_connected_graph(92, 60)
+        ls = random_label_set(92, 60, 4, 2)
+        cfg = SolverConfig(method=method, lam=5.0, max_iter=max_iter)
+        res = solve(g, ls, cfg)
+        assert res.converged is (max_iter > 2)
+        if res.converged:
+            assert res.final_residual <= cfg.tol
+        u, q, y = res.u, g.degree_weights[:, None], ls.onehot_matrix()
+        lam = cfg.variance_weight
+        lu = laplacian_apply(g, u)
+        if method in ("laplace", "v_laplace"):
+            free = np.ones(g.n, dtype=bool)
+            free[ls.nodes] = False
+            clamped = np.zeros_like(u)
+            clamped[ls.nodes] = y
+            b = -(laplacian_apply(g, clamped) + lam * q * (q.T @ clamped))[free]
+            r = (lam * q * (u - q.T @ u) - lu)[free]
+        else:
+            b = np.zeros_like(u)
+            b[ls.nodes] = y - y.mean(axis=0)
+            r = b - lu + lam * q * (u - q.T @ u)
+        full = np.linalg.norm(r) / np.linalg.norm(b)
+        assert full <= np.sqrt(ls.k) * res.final_residual + 1e-12
 
 
 class TestPredict:
