@@ -36,11 +36,21 @@ is positive semidefinite with null space 1, every source lies in its
 range, and the q-mean is removed from the answer once.  The class columns
 of u sum to a known vector (1 on free nodes for the clamped family, 0 for
 the poisson family), so only the first k - 1 are solved.  ``solve`` runs
-one block Jacobi-PCG on them, and ``dense_oracle_solve`` densifies the
-same operator.  The columns share one block Krylov space, which takes in
-the graph's slow cluster modes for every class together: on the desk graph
-a solve takes 16 to 18 block steps, where k column-wise CGs in lockstep
-took 24 to 28.
+one block PCG on them, and ``dense_oracle_solve`` densifies the same
+operator.  The columns share one block Krylov space, which takes in the
+graph's slow cluster modes for every class together.  The preconditioner
+is a degree-1 polynomial in the Jacobi-scaled operator B = D^-1 A,
+M^-1 = D^-1 (s - A D^-1), with s 1.05 times a Gershgorin bound on the
+spectrum of B.  It maps each eigenvalue mu of B to mu (s - mu), which
+squeezes the bulk of the spectrum, and it is positive definite for every
+system with a positive diagonal, since s exceeds every mu, bipartite
+graphs (largest mu = 2) included.  Each block step applies the operator
+twice.  On the desk graph a solve takes 9 to 11 block steps, where plain
+Jacobi took 16 to 19 and k column-wise CGs in lockstep 24 to 28.  The
+halved step count pays for the second product only when the block is
+wide: at 10 classes a desk solve is faster than under plain Jacobi, at 2
+to 5 classes slower.  The poisson family keeps each search block
+centered and orthonormal, which its null space needs (see ``_pcg``).
 
 The variance term is maximized, so both v_* systems lose positive
 definiteness once ``lam`` passes a graph-dependent stability bound.  For
@@ -59,7 +69,8 @@ from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal, lapack
+from scipy.linalg.blas import dgemm
 
 from .errors import (
     DivergenceError,
@@ -125,13 +136,15 @@ class SolveResult:
     ``u`` is the (n, k) score matrix.  ``iterations`` is the number of
     block PCG steps on the one linear system the method solves, shared by
     its columns (0 for the trivial cases and for ``dense_oracle_solve``).
-    That system has the first k - 1 class columns only: the last column of
-    ``u`` is recovered from the known row sum.  ``final_residual`` is the
-    Frobenius norm of that (k - 1)-column system's residual relative to
-    its right-hand side; the residual of all k columns is at most
-    sqrt(k) times it, since the last column's residual is minus the sum of
-    the others'.  ``converged`` is False when ``max_iter`` ran out first;
-    ``u`` is then the last iterate, the one ``final_residual`` describes.
+    Each step applies the operator twice: once to the search block and
+    once in the preconditioner.  The system has the first k - 1 class
+    columns only: the last column of ``u`` is recovered from the known row
+    sum.  ``final_residual`` is the Frobenius norm of that (k - 1)-column
+    system's residual relative to its right-hand side; the residual of all
+    k columns is at most sqrt(k) times it, since the last column's
+    residual is minus the sum of the others'.  ``converged`` is False when
+    ``max_iter`` ran out first; ``u`` is then the last iterate, the one
+    ``final_residual`` describes.
     """
 
     u: np.ndarray
@@ -140,8 +153,28 @@ class SolveResult:
     converged: bool
 
 
-def _pcg(matvec, b, diag, tol, max_iter):
-    """Block Jacobi-preconditioned conjugate gradients on all columns of ``b``.
+def _addmul(out, a, b, alpha):
+    """``out += alpha * a @ b`` in one BLAS pass, with no temporary.
+
+    ``out`` must be C-ordered: dgemm writes in place only into the
+    F-ordered transpose, and silently returns a copy for any other layout.
+    """
+    dgemm(alpha, b.T, a.T, beta=1.0, c=out.T, overwrite_c=True)
+
+
+def _eigh(a):
+    """Ascending eigenvalues and eigenvectors of a small symmetric matrix,
+    from its lower triangle as ``np.linalg.eigh`` reads it.  LAPACK's dsyev
+    is called directly: on a 9 x 9 block numpy's wrapper costs half again
+    as much, and several times as much on 1 x 1."""
+    theta, V, info = lapack.dsyev(a, lower=1)
+    if info:
+        raise np.linalg.LinAlgError("eigenvalue iteration did not converge")
+    return theta, V
+
+
+def _pcg(matvec, b, diag, shift, tol, max_iter, centered=False):
+    """Block preconditioned conjugate gradients on all columns of ``b``.
 
     The k columns share one block Krylov space (O'Leary 1980): each step
     moves along a block ``W`` of k directions.  With ``Q = A W`` and
@@ -156,10 +189,38 @@ def _pcg(matvec, b, diag, tol, max_iter):
     1988): ``G`` and ``W^T R`` do not see the null-space parts of ``W``,
     which reach only ``X``.
 
+    With ``shift=None`` the preconditioner is Jacobi, ``Z = D^-1 R`` with
+    ``D = diag``.  Given a shift ``s``, it is the degree-1 polynomial in
+    the Jacobi-scaled operator (Johnson, Micchelli & Paul 1983; Saad,
+    Iterative Methods for Sparse Linear Systems, section 12.3),
+    ``Z = D^-1 (s R - A D^-1 R)``, which applies the operator a second
+    time in each step.  It is symmetric positive definite when ``s``
+    exceeds the largest eigenvalue of ``D^-1 A``, and it maps an
+    eigenvalue ``mu`` of ``D^-1 A`` to ``mu (s - mu)``.
+
+    With ``centered`` the operator's null space is 1, as for the poisson
+    family.  Each new block then loses its part along 1 and, if it has
+    more than one column, is replaced by an orthonormal basis of its span:
+    ``W U S^-1/2`` from the eigendecomposition ``U S U^T`` of its Gram
+    matrix (SVQB; Stathopoulos & Wu 2002), without the directions whose
+    Gram eigenvalue is below 1e-14 of the largest.  In exact arithmetic
+    neither changes the iterates beyond the part of ``X`` along 1.  In
+    floating point the columns of a block can drift into near dependence
+    over many steps, and a combination of them that nearly cancels in the
+    range keeps its part along 1, so ``G`` sees it with a curvature of
+    roundoff; inverting that spoils every later step.  On path graphs at
+    ``tol=1e-12`` such poisson-family solves took thousands of steps or
+    raised DivergenceError, under Jacobi and under the polynomial
+    preconditioner alike, where with the basis they converge.  The
+    clamped family has no null space and converged on the same paths
+    without it.  ``estimate_stability_limit`` solves one column without
+    ``centered``, so its coefficients stay those of plain CG.
+
     Returns ``(x, iterations, relative_residual, converged, coeffs)`` with
     the residual measured in the Frobenius norm relative to ``|b|``,
-    ``iterations`` the number of block steps and ``coeffs`` the k x k step
-    and direction coefficients of each step, ``(steps, directions)``.
+    ``iterations`` the number of block steps and ``coeffs`` the step and
+    direction coefficients of each step, ``(steps, directions)``, in the
+    basis of that step's block.
     There are three exits: convergence returns the current iterate;
     running out of ``max_iter`` returns the last iterate with
     ``converged=False``; a block on which ``G`` has an eigenvalue below
@@ -169,18 +230,43 @@ def _pcg(matvec, b, diag, tol, max_iter):
     every column over the block Krylov space.
     """
     bnorm = float(np.linalg.norm(b))
-    x = np.zeros_like(b)
+    # C order whatever the layout of b, so that _addmul updates in place
+    x = np.zeros(b.shape)
     steps, directions = [], []
     if bnorm == 0.0:
         return x, 0, 0.0, True, (steps, directions)
     D = np.broadcast_to(diag[:, None], b.shape).copy()
-    r = b.copy()
-    z = r / D
-    w = z.copy()
-    t = np.empty_like(b)
+    if shift is not None:
+        # multiplies, not divides: the block is scaled twice in every step
+        s_over_d, inv_sd = shift / D, 1.0 / (shift * D)
+    r = np.array(b, order="C")
+    z = np.empty_like(r)
+    ones = np.ones((b.shape[0], 1))  # the null space when centered
+
+    def precondition(out):
+        if shift is None:
+            np.divide(r, D, out=out)
+            return
+        np.multiply(r, s_over_d, out=out)  # s D^-1 R
+        Az = matvec(out)
+        out -= np.multiply(Az, inv_sd, out=Az)  # D^-1 A D^-1 R
+
+    def centered_basis(block):
+        """The search block for ``block``, which it overwrites, when ``centered``."""
+        _addmul(block, ones, ones.T @ block, -1.0 / len(block))
+        if block.shape[1] == 1:
+            return block.copy()
+        sigma, U = _eigh(dgemm(1.0, block.T, block.T, trans_b=True))
+        keep = sigma > 1e-14 * sigma[-1]
+        if not keep.any():
+            return block.copy()  # zero, so G = 0 raises below
+        return block @ (U[:, keep] / np.sqrt(sigma[keep]))
+
+    precondition(z)
+    w = centered_basis(z) if centered else z.copy()
     for iterations in range(1, max_iter + 1):
         q = matvec(w)
-        theta, V = np.linalg.eigh(w.T @ q)
+        theta, V = _eigh(w.T @ q)
         # sum|W||Q| >= trace G, so the cheap first test only filters
         if theta[0] < -1e-10 * theta.sum() and theta[0] < -1e-10 * np.vdot(np.abs(w), np.abs(q)):
             raise DivergenceError(
@@ -197,15 +283,19 @@ def _pcg(matvec, b, diag, tol, max_iter):
         Gplus = (V / theta[keep]) @ V.T  # the pseudo-inverse over the kept eigenpairs
         a = Gplus @ (w.T @ r)
         steps.append(a)
-        x += np.matmul(w, a, out=t)
-        r -= np.matmul(q, a, out=t)
+        _addmul(x, w, a, 1.0)
+        _addmul(r, q, a, -1.0)
         rel = float(np.linalg.norm(r)) / bnorm
         if rel <= tol:
             return x, iterations, rel, True, (steps, directions)
-        np.divide(r, D, out=z)
+        precondition(z)
         c = Gplus @ (q.T @ z)
         directions.append(-c)
-        np.subtract(z, np.matmul(w, c, out=t), out=w)
+        _addmul(z, w, c, -1.0)
+        if centered:
+            w = centered_basis(z)
+        else:
+            w, z = z, w
     return x, max_iter, rel, False, (steps, directions)
 
 
@@ -215,15 +305,18 @@ def estimate_stability_limit(g: Graph) -> float:
     Every v_* system is positive definite for ``lam`` below lambda_2.  The
     value is the smallest Ritz value of one Jacobi-PCG solve of ``L x = b``,
     the ``lam = 0`` poisson system, with a fixed ``b`` in the range of L,
-    times the total degree, and lies within 1% above lambda_2.  Since
-    ``1^T b = 0``, the preconditioned Krylov space is orthogonal to the
-    null space 1 in the diag(q) inner product, so the iteration needs no
-    projection.  With one column the block PCG is plain CG, whose step and
-    direction coefficients ``a_i, b_i`` define a Lanczos tridiagonal with
-    diagonal ``1/a_i + b_(i-1)/a_(i-1)`` and off-diagonal
-    ``sqrt(b_i)/a_i`` (Saad, Iterative Methods for Sparse Linear Systems,
-    section 6.7); its lowest eigenvalue approaches the preconditioned
-    operator's from above.  Returns 0.0 on a disconnected graph, where
+    times the total degree.  As a Ritz value it lies above lambda_2, and
+    not always close: it is exact to 1e-9 on the desk graph, but up to
+    2.6% above on random 400-node graphs, where the solve converges before
+    it separates lambda_2 from a close lambda_3.  Since ``1^T b = 0``, the
+    preconditioned Krylov space is orthogonal to the null space 1 in the
+    diag(q) inner product, so the iteration needs no projection.  With one
+    column the block PCG is plain CG, whose step and direction coefficients
+    ``a_i, b_i`` under the Jacobi preconditioner (``shift=None``) define a
+    Lanczos tridiagonal with diagonal ``1/a_i + b_(i-1)/a_(i-1)`` and
+    off-diagonal ``sqrt(b_i)/a_i`` (Saad, Iterative Methods for Sparse
+    Linear Systems, section 6.7); its lowest eigenvalue approaches the
+    preconditioned operator's from above.  Returns 0.0 on a disconnected graph, where
     lambda_2 vanishes.  ``solve`` computes it once per graph, for the
     v_poisson near-bound warning.
     """
@@ -232,7 +325,7 @@ def estimate_stability_limit(g: Graph) -> float:
     b = np.cos(1.3 * np.arange(g.n) + 0.9)[:, None]
     b -= b.mean()  # in the range of L, like every poisson source
     L = g.laplacian_matrix()
-    steps, directions = _pcg(lambda v: L @ v, b, L.diagonal(), 1e-12, g.n)[4]
+    steps, directions = _pcg(lambda v: L @ v, b, L.diagonal(), None, 1e-12, g.n)[4]
     a = np.ravel(steps)
     beta = np.ravel(directions)[: a.size - 1]
     d = 1.0 / a
@@ -254,12 +347,15 @@ class _System:
     row of ``u`` sums to 1.  The poisson family has no P and ``c = q``: its
     operator is positive semidefinite with null space 1 while ``lam`` is
     below lambda_2, the source lies in its range, and ``result`` removes
-    the q-mean; every row of ``u`` sums to 0.
+    the q-mean; every row of ``u`` sums to 0.  ``diagonal`` is the
+    operator's Jacobi diagonal, and ``radius`` bounds its absolute
+    off-diagonal row sums, ``deg + lam c (sum(c) - c)``.
     """
 
     A: sparse.csr_array
     rhs: np.ndarray
     diagonal: np.ndarray
+    radius: np.ndarray
     lam: float
     c: np.ndarray
     labeled: np.ndarray = None
@@ -270,13 +366,21 @@ class _System:
         """No unknowns (every node labeled) or a zero right-hand side."""
         return not self.rhs.any()
 
+    @property
+    def shift(self) -> float:
+        """The preconditioner shift of ``_pcg``: 1.05 times the Gershgorin
+        bound on the spectrum of ``diag(diagonal)^-1`` times the operator.
+        It exceeds that spectrum when the diagonal is positive, so the
+        preconditioner is then positive definite."""
+        return 1.05 * float(np.max(1.0 + self.radius / self.diagonal))
+
     def matvec(self, w):
         """The operator on a block ``w`` that is zero at the labeled rows."""
         Aw = self.A @ w
         if self.labeled is not None:
             Aw[self.labeled] = 0.0
         if self.lam > 0:
-            Aw += self.lam * np.einsum("i,j->ij", self.c, self.c @ w)
+            _addmul(Aw, self.c[:, None], (self.c @ w)[None, :], self.lam)
         return Aw
 
     def result(self, x, iterations, final_residual, converged) -> SolveResult:
@@ -322,11 +426,10 @@ def _assemble(g: Graph, labels: LabelSet, cfg: SolverConfig) -> _System:
             )
         c, labeled = q.copy(), il
         c[il] = 0.0
-        clamped = np.zeros((g.n, labels.k - 1))
-        clamped[il] = y[:, :-1]
         # L_uu u - lam q_u (u - ubar) = -L_ul y with ubar = q_u^T u + q_l^T y
-        # moves the mean into the operator as the coupling lam c c^T
-        rhs = -(L @ clamped) - lam * np.outer(c, q[il] @ y[:, :-1])
+        # moves the mean into the operator as the coupling lam c c^T; L is
+        # symmetric, so L_ul y comes from the l labeled rows
+        rhs = -(L[il].T @ y[:, :-1]) - lam * np.outer(c, q[il] @ y[:, :-1])
         rhs[il] = 0.0
     else:
         if ncomp != 1:
@@ -349,12 +452,20 @@ def _assemble(g: Graph, labels: LabelSet, cfg: SolverConfig) -> _System:
         values[diagonal] -= lam * c
         A = sparse.csr_array((values, L.indices, L.indptr), shape=L.shape)
     return _System(
-        A=A, rhs=rhs, diagonal=A.data[diagonal] + lam * c**2, lam=lam, c=c, labeled=labeled, y=y
+        A=A,
+        rhs=rhs,
+        diagonal=A.data[diagonal] + lam * c**2,
+        # off the diagonal |A_ij| <= w_ij + lam c_i c_j
+        radius=g.degrees + lam * c * (c.sum() - c),
+        lam=lam,
+        c=c,
+        labeled=labeled,
+        y=y,
     )
 
 
 def solve(g: Graph, labels: LabelSet, cfg: SolverConfig) -> SolveResult:
-    """Run the solver selected by ``cfg.method``: one block Jacobi-PCG solve of its system.
+    """Run the solver selected by ``cfg.method``: one block PCG solve of its system.
 
     The first k - 1 class columns share the one block iteration, so
     ``iterations`` counts block steps; the last column follows from the
@@ -376,7 +487,13 @@ def solve(g: Graph, labels: LabelSet, cfg: SolverConfig) -> SolveResult:
             "it is past the stability bound"
         )
     x, iters, rel, conv, _ = _pcg(
-        system.matvec, system.rhs, system.diagonal, cfg.tol, cfg.max_iter
+        system.matvec,
+        system.rhs,
+        system.diagonal,
+        system.shift,
+        cfg.tol,
+        cfg.max_iter,
+        centered=system.labeled is None,
     )
     if system.labeled is None and system.lam > 0:
         bound = g._stability_limit
