@@ -63,6 +63,7 @@ raises DivergenceError.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar
@@ -116,8 +117,8 @@ class SolverConfig:
             raise InvalidParameterError(f"lam must be finite and >= 0, got {self.lam}")
         if not np.finfo(float).eps <= self.tol < math.inf:
             raise InvalidParameterError(f"tol must be finite and >= machine epsilon, got {self.tol}")
-        if self.max_iter < 1:
-            raise InvalidParameterError("max_iter must be >= 1")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise InvalidParameterError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.method not in METHODS:
             raise InvalidParameterError(
                 f"unknown method {self.method!r}; choose one of {METHODS}"
@@ -183,17 +184,15 @@ def _pcg(matvec, b, diag, shift, tol, max_iter, centered=False):
     ``Z`` the preconditioned residual.  ``G^+`` is the pseudo-inverse over
     the eigenvalues of ``G`` above 1e-13 of the largest.  It drops the
     directions of a rank-deficient block (Ji & Li 2017), such as a zero
-    right-hand-side column.  With one column this is plain CG, and ``a``
-    and ``-G^+ Q^T Z`` are its step and direction coefficients.  ``A`` may
+    right-hand-side column.  With one column this is plain CG.  ``A`` may
     be positive semidefinite when ``b`` lies in its range (Kaasschieter
     1988): ``G`` and ``W^T R`` do not see the null-space parts of ``W``,
     which reach only ``X``.
 
-    With ``shift=None`` the preconditioner is Jacobi, ``Z = D^-1 R`` with
-    ``D = diag``.  Given a shift ``s``, it is the degree-1 polynomial in
-    the Jacobi-scaled operator (Johnson, Micchelli & Paul 1983; Saad,
-    Iterative Methods for Sparse Linear Systems, section 12.3),
-    ``Z = D^-1 (s R - A D^-1 R)``, which applies the operator a second
+    The preconditioner is the degree-1 polynomial in the Jacobi-scaled
+    operator (Johnson, Micchelli & Paul 1983; Saad, Iterative Methods for
+    Sparse Linear Systems, section 12.3), ``Z = D^-1 (s R - A D^-1 R)``
+    with ``D = diag`` and ``s = shift``, which applies the operator a second
     time in each step.  It is symmetric positive definite when ``s``
     exceeds the largest eigenvalue of ``D^-1 A``, and it maps an
     eigenvalue ``mu`` of ``D^-1 A`` to ``mu (s - mu)``.
@@ -213,40 +212,31 @@ def _pcg(matvec, b, diag, shift, tol, max_iter, centered=False):
     raised DivergenceError, under Jacobi and under the polynomial
     preconditioner alike, where with the basis they converge.  The
     clamped family has no null space and converged on the same paths
-    without it.  ``estimate_stability_limit`` solves one column without
-    ``centered``, so its coefficients stay those of plain CG.
+    without it.
 
-    Returns ``(x, iterations, relative_residual, converged, coeffs)`` with
-    the residual measured in the Frobenius norm relative to ``|b|``,
-    ``iterations`` the number of block steps and ``coeffs`` the step and
-    direction coefficients of each step, ``(steps, directions)``, in the
-    basis of that step's block.
-    There are three exits: convergence returns the current iterate;
-    running out of ``max_iter`` returns the last iterate with
-    ``converged=False``; a block on which ``G`` has an eigenvalue below
-    roundoff (negative curvature), or none above the drop threshold (no
-    positive curvature), raises DivergenceError.  Returning the last
+    Returns ``(x, iterations, relative_residual, converged)`` with the
+    residual measured in the Frobenius norm relative to ``|b|`` and
+    ``iterations`` the number of block steps.  There are three exits:
+    convergence returns the current iterate; running out of ``max_iter``
+    returns the last iterate with ``converged=False``; a block on which
+    ``G`` has an eigenvalue below roundoff (negative curvature), or none
+    above the drop threshold (no positive curvature), raises
+    DivergenceError.  Returning the last
     iterate is sound: each block CG iterate minimizes the A-norm error of
     every column over the block Krylov space.
     """
     bnorm = float(np.linalg.norm(b))
     # C order whatever the layout of b, so that _addmul updates in place
     x = np.zeros(b.shape)
-    steps, directions = [], []
     if bnorm == 0.0:
-        return x, 0, 0.0, True, (steps, directions)
-    D = np.broadcast_to(diag[:, None], b.shape).copy()
-    if shift is not None:
-        # multiplies, not divides: the block is scaled twice in every step
-        s_over_d, inv_sd = shift / D, 1.0 / (shift * D)
+        return x, 0, 0.0, True
+    # multiplies, not divides: the block is scaled twice in every step
+    s_over_d, inv_sd = (shift / diag)[:, None], (1.0 / (shift * diag))[:, None]
     r = np.array(b, order="C")
     z = np.empty_like(r)
     ones = np.ones((b.shape[0], 1))  # the null space when centered
 
     def precondition(out):
-        if shift is None:
-            np.divide(r, D, out=out)
-            return
         np.multiply(r, s_over_d, out=out)  # s D^-1 R
         Az = matvec(out)
         out -= np.multiply(Az, inv_sd, out=Az)  # D^-1 A D^-1 R
@@ -282,55 +272,68 @@ def _pcg(matvec, b, diag, shift, tol, max_iter, centered=False):
         V = V[:, keep]
         Gplus = (V / theta[keep]) @ V.T  # the pseudo-inverse over the kept eigenpairs
         a = Gplus @ (w.T @ r)
-        steps.append(a)
         _addmul(x, w, a, 1.0)
         _addmul(r, q, a, -1.0)
         rel = float(np.linalg.norm(r)) / bnorm
         if rel <= tol:
-            return x, iterations, rel, True, (steps, directions)
+            return x, iterations, rel, True
         precondition(z)
         c = Gplus @ (q.T @ z)
-        directions.append(-c)
         _addmul(z, w, c, -1.0)
         if centered:
             w = centered_basis(z)
         else:
             w, z = z, w
-    return x, max_iter, rel, False, (steps, directions)
+    return x, max_iter, rel, False
 
 
 def estimate_stability_limit(g: Graph) -> float:
     """lambda_2 of the pencil (L, diag q): the v_poisson stability bound.
 
     Every v_* system is positive definite for ``lam`` below lambda_2.  The
-    value is the smallest Ritz value of one Jacobi-PCG solve of ``L x = b``,
-    the ``lam = 0`` poisson system, with a fixed ``b`` in the range of L,
-    times the total degree.  As a Ritz value it lies above lambda_2, and
-    not always close: it is exact to 1e-9 on the desk graph, but up to
-    2.6% above on random 400-node graphs, where the solve converges before
-    it separates lambda_2 from a close lambda_3.  Since ``1^T b = 0``, the
-    preconditioned Krylov space is orthogonal to the null space 1 in the
-    diag(q) inner product, so the iteration needs no projection.  With one
-    column the block PCG is plain CG, whose step and direction coefficients
-    ``a_i, b_i`` under the Jacobi preconditioner (``shift=None``) define a
-    Lanczos tridiagonal with diagonal ``1/a_i + b_(i-1)/a_(i-1)`` and
+    value is the smallest Ritz value of a Jacobi-preconditioned CG solve of
+    ``L x = b``, the ``lam = 0`` poisson system, with a fixed ``b`` in the
+    range of L, times the total degree.  The solve is a plain scalar CG of
+    its own, not the block PCG that ``solve`` runs, and it stops at a
+    relative residual of 1e-12 or after n steps.  As a Ritz value it lies
+    above lambda_2, and not always close: it is exact to 1e-9 on the desk
+    graph, but up to 2.6% above on random 400-node graphs, where the solve
+    converges before it separates lambda_2 from a close lambda_3.  Since
+    ``1^T b = 0``, the preconditioned Krylov space is orthogonal to the null
+    space 1 in the diag(q) inner product, so the iteration needs no
+    projection.  The CG step and direction coefficients ``a_i, b_i`` define
+    a Lanczos tridiagonal with diagonal ``1/a_i + b_(i-1)/a_(i-1)`` and
     off-diagonal ``sqrt(b_i)/a_i`` (Saad, Iterative Methods for Sparse
-    Linear Systems, section 6.7); its lowest eigenvalue approaches the
-    preconditioned operator's from above.  Returns 0.0 on a disconnected graph, where
-    lambda_2 vanishes.  ``solve`` computes it once per graph, for the
-    v_poisson near-bound warning.
+    Linear Systems, section 6.7); its lowest eigenvalue approaches that of
+    the preconditioned operator from above.  Returns 0.0 on a disconnected
+    graph, where lambda_2 vanishes.  ``solve`` computes it once per graph,
+    for the v_poisson near-bound warning.
     """
     if g.components[0] != 1:
         return 0.0
-    b = np.cos(1.3 * np.arange(g.n) + 0.9)[:, None]
-    b -= b.mean()  # in the range of L, like every poisson source
+    r = np.cos(1.3 * np.arange(g.n) + 0.9)  # b, the residual of x = 0
+    r -= r.mean()  # in the range of L, like every poisson source
     L = g.laplacian_matrix()
-    steps, directions = _pcg(lambda v: L @ v, b, L.diagonal(), None, 1e-12, g.n)[4]
-    a = np.ravel(steps)
-    beta = np.ravel(directions)[: a.size - 1]
-    d = 1.0 / a
-    d[1:] += beta / a[:-1]
-    low = eigvalsh_tridiagonal(d, np.sqrt(beta) / a[:-1], select="i", select_range=(0, 0))
+    d = L.diagonal()
+    bnorm = float(np.linalg.norm(r))
+    z = r / d
+    w, rz = z, r @ z
+    steps, directions = [], []
+    for _ in range(g.n):
+        Lw = L @ w
+        steps.append(rz / (w @ Lw))
+        r -= steps[-1] * Lw
+        if float(np.linalg.norm(r)) / bnorm <= 1e-12:
+            break
+        z = r / d
+        rz, rz_old = r @ z, rz
+        directions.append(rz / rz_old)
+        w = z + directions[-1] * w
+    a = np.array(steps)
+    beta = np.array(directions[: a.size - 1])
+    t = 1.0 / a
+    t[1:] += beta / a[:-1]
+    low = eigvalsh_tridiagonal(t, np.sqrt(beta) / a[:-1], select="i", select_range=(0, 0))
     return float(low[0]) * float(g.degrees.sum())
 
 
@@ -486,7 +489,7 @@ def solve(g: Graph, labels: LabelSet, cfg: SolverConfig) -> SolveResult:
             f"variance weight lam={system.lam:g} drives the shifted diagonal nonpositive; "
             "it is past the stability bound"
         )
-    x, iters, rel, conv, _ = _pcg(
+    x, iters, rel, conv = _pcg(
         system.matvec,
         system.rhs,
         system.diagonal,

@@ -48,6 +48,8 @@ class TestConfig:
         "kwargs",
         [
             dict(lam=-0.1), dict(tol=0.0), dict(max_iter=0), dict(method="jacobi"),
+            # a float cap, even a whole one, would fail later inside the PCG
+            dict(max_iter=10.0), dict(max_iter=2.5), dict(max_iter=float("nan")),
             dict(lam=float("nan")), dict(lam=float("inf")),
             dict(tol=float("nan")), dict(tol=float("inf")),
             # below what double precision can reach
@@ -366,7 +368,7 @@ class TestStabilityBound:
     def test_unit_edge(self):
         assert estimate_stability_limit(path_graph(2)) == pytest.approx(4.0, rel=1e-12)
         # unit path graphs: lambda_2 of (L, diag q) is 2(n-1)(1 - cos(pi/(n-1)))
-        for n in (2, 16, 128, 1309):
+        for n in (2, 16, 128, 1309, 2201):
             closed = 2 * (n - 1) * (1 - np.cos(np.pi / (n - 1)))
             assert estimate_stability_limit(path_graph(n)) == pytest.approx(closed, rel=1e-8)
 
@@ -475,7 +477,7 @@ class TestBlockPCG:
         A = sparse.csr_array(np.diag([1.0, 0.0]))
         b = np.array([[0.0], [1.0]])
         with pytest.raises(DivergenceError, match="no search direction of positive curvature"):
-            solvers._pcg(lambda v: A @ v, b, np.ones(2), None, 1e-8, 10)
+            solvers._pcg(lambda v: A @ v, b, np.ones(2), 2.1, 1e-8, 10)
 
     @pytest.fixture(scope="class")
     def clusters(self):
