@@ -6,6 +6,7 @@ would inflate the clamping methods).  Trial seeds derive from
 (base_seed, trial index), so reports are independent of execution order.
 """
 
+import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -83,8 +84,8 @@ def run_trials(
     """
     if ds.graph is None:
         raise InvalidParameterError("dataset has no graph; attach one with with_knn_graph")
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    if not isinstance(trials, numbers.Integral) or trials < 1:
+        raise InvalidParameterError(f"trials must be >= 1 and an integer, got {trials!r}")
     cfg = replace(cfg or SolverConfig(), method=method)
     seeds = tuple(derive_trial_seed(base_seed, t) for t in range(trials))
 

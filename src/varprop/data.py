@@ -10,6 +10,7 @@ per class with a counter-based 64-bit generator, so splits reproduce
 exactly on any platform.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -91,8 +92,8 @@ class Dataset:
             object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
         if self.features is None and self.graph is None:
             raise InvalidInputError("dataset needs features or a graph")
-        if self.k < 1:
-            raise InvalidParameterError("class count k must be >= 1")
+        if not isinstance(self.k, numbers.Integral) or self.k < 1:
+            raise InvalidParameterError(f"class count k must be >= 1 and an integer, got {self.k!r}")
         if labels.size == 0:
             raise InvalidInputError("dataset has no samples")
         if labels.min() < 0 or labels.max() >= self.k:
@@ -347,9 +348,11 @@ def sample_label_set(ds: Dataset, labels_per_class: int, seed: int) -> LabelSet:
     generator keyed on (seed, class index); identical inputs give identical
     label sets on every platform.
     """
+    if not isinstance(labels_per_class, numbers.Integral) or labels_per_class < 1:
+        raise InvalidParameterError(
+            f"labels_per_class must be >= 1 and an integer, got {labels_per_class!r}"
+        )
     m = int(labels_per_class)
-    if m < 1:
-        raise InvalidParameterError("labels_per_class must be >= 1")
     entries = []
     for c in range(ds.k):
         members = ds.class_members(c)

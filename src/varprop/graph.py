@@ -7,6 +7,7 @@ read and written by ``varprop.data``.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,12 +38,12 @@ class Graph:
     diagonal.  ``degrees[i]`` is the row sum of ``adjacency`` and
     ``degree_weights`` are the degrees normalized to sum to one.  Build one
     with :func:`graph_from_edges` or :meth:`from_adjacency`, which apply the
-    same rules.  Each graph builds its Laplacian, the positions of its
-    diagonal among the stored values, and its component labels once, on
-    first use.  It also computes lambda_2 of the pencil
-    (L, diag q) at most once, with ``estimate_stability_limit``, on the
-    first v_poisson solve with ``lam > 0``, whose near-bound warning reads
-    it.  Instances are safe to share between concurrent solver runs; treat
+    same rules.  Each graph builds its Laplacian, the row of each of its
+    stored values, the positions of its diagonal among them, and its
+    component labels once, on first use.  It also computes lambda_2 of the
+    pencil (L, diag q) at most once, with ``estimate_stability_limit``, on
+    the first v_poisson solve with ``lam > 0``, whose near-bound warning
+    reads it.  Instances are safe to share between concurrent solver runs; treat
     every field and every cached array as read-only.
     """
 
@@ -64,11 +65,15 @@ class Graph:
         return (sparse.diags_array(self.degrees) - self.adjacency).tocsr()
 
     @cached_property
+    def _rows(self) -> np.ndarray:
+        """The row of each stored value of the Laplacian."""
+        return np.repeat(np.arange(self.n), np.diff(self._laplacian.indptr))
+
+    @cached_property
     def _diagonal_positions(self) -> np.ndarray:
         """Positions of the diagonal in the Laplacian's values, one per row:
         every node has a positive degree, so every row stores its diagonal."""
-        L = self._laplacian
-        return np.flatnonzero(L.indices == np.repeat(np.arange(self.n), np.diff(L.indptr)))
+        return np.flatnonzero(self._laplacian.indices == self._rows)
 
     @cached_property
     def components(self):
@@ -115,8 +120,8 @@ class LabelSet:
     entries: tuple
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidParameterError("class count k must be >= 1")
+        if not isinstance(self.k, numbers.Integral) or self.k < 1:
+            raise InvalidParameterError(f"class count k must be >= 1 and an integer, got {self.k!r}")
         pairs = tuple((int(i), int(c)) for i, c in self.entries)
         if not pairs:
             raise InvalidInputError("at least one labeled node is required")
@@ -265,11 +270,11 @@ def build_knn_graph(features, k_neighbors) -> Graph:
         raise InvalidParameterError("need at least 2 points to build a graph")
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("features contain NaN or Inf")
-    k = int(k_neighbors)
-    if k < 1 or k >= n:
+    if not isinstance(k_neighbors, numbers.Integral) or not 1 <= k_neighbors < n:
         raise InvalidParameterError(
-            f"k_neighbors must satisfy 1 <= k < n, got k={k_neighbors} with n={n}"
+            f"k_neighbors must be an integer with 1 <= k < n, got k={k_neighbors!r} with n={n}"
         )
+    k = int(k_neighbors)
 
     nbr, nbr_dist = _nearest(X, k)
     sigma = nbr_dist[:, -1].copy()
@@ -283,11 +288,17 @@ def build_knn_graph(features, k_neighbors) -> Graph:
 
 # Floor on the bytes of _nearest's working set: the float32 copy of the
 # centered features, and the temporaries of one block of rows (its float32
-# candidate form, the group minima, the kept columns and the exact-distance
-# gather).  _nearest's budget is max(this, X.nbytes), and the copy, about half
-# of X.nbytes, is paid for out of it: each block's GEMM reads all of the copy,
-# and blocks that grow with X share that read among more rows.
+# candidate form, the group minima and the kept columns).  _nearest's budget
+# is max(this, X.nbytes), and the copy, about half of X.nbytes, is paid for
+# out of it: each block's GEMM reads all of the copy, and blocks that grow
+# with X share that read among more rows.  A block holds 182 rows at
+# 8000 x 256, and 145 at the desk size (2000 x 256, under the floor).
 _KNN_BLOCK_BYTES = 4 << 20
+# Bytes of float64 feature rows that _rank gathers at a time, outside the
+# block budget: each chunk's candidates and, as many, the rows they are
+# ranked for.  A fixed size, so that the exact re-search over n - 1
+# candidates costs no more than a block's ranking.
+_KNN_RANK_BYTES = 256 << 10
 # Spare candidates beyond k, so float32 rounding near the k-th distance rarely
 # forces an exact re-search of the row.
 _KNN_SPARE = 4
@@ -318,7 +329,7 @@ def _nearest(X, k):
     groups = max(-(-n // _KNN_GROUP), pool + 1)
     width = groups * _KNN_GROUP
     budget = max(_KNN_BLOCK_BYTES, X.nbytes) - 4 * n * d
-    block = max(1, budget // (5 * width + 8 * pool * d + 320 * (pool + 1)))
+    block = max(1, budget // (5 * width + 320 * (pool + 1)))
     C, sq, scale, slack = _candidate_copy(X, block)
     spans = groups * np.arange(_KNN_GROUP)[:, None]
     form = np.full((min(block, n), width), np.inf, dtype=np.float32)
@@ -411,10 +422,16 @@ def _candidate_form(C, sq, lo, out):
 
 def _rank(X, rows, cand, k):
     """The ``k`` nearest of each row's candidates ``cand[r]``, as (indices,
-    distances) ordered by (distance, index); distances are summed term by term."""
-    diff = X[cand]
-    diff -= X[rows, None, :]
-    cand_dist = np.sqrt(np.einsum("rcd,rcd->rc", diff, diff))
+    distances) ordered by (distance, index).  Distances are summed term by
+    term, over ``_KNN_RANK_BYTES`` of gathered feature rows at a time."""
+    flat, owner = cand.ravel(), np.repeat(rows, cand.shape[1])
+    cand_dist = np.empty(flat.size)
+    step = max(1, _KNN_RANK_BYTES // (16 * X.shape[1]))
+    for lo in range(0, flat.size, step):
+        diff = X[flat[lo : lo + step]]
+        diff -= X[owner[lo : lo + step]]
+        cand_dist[lo : lo + step] = np.sqrt(np.einsum("cd,cd->c", diff, diff))
+    cand_dist = cand_dist.reshape(cand.shape)
     order = np.lexsort((cand, cand_dist))[:, :k]
     return np.take_along_axis(cand, order, axis=1), np.take_along_axis(cand_dist, order, axis=1)
 

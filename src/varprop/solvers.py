@@ -30,7 +30,8 @@ full-length system on the graph's cached Laplacian,
 
 where P zeroes the labeled rows of the clamped family, c is q with the
 labeled entries zeroed (clamped family) or q itself (poisson family), and
-lam is 0 for laplace and poisson.  On {q^T u = 0} the poisson operator is
+lam is 0 for laplace and poisson.  P is folded into the stored operator:
+its labeled rows hold zeros.  On {q^T u = 0} the poisson operator is
 the constrained one, so no projection is needed: for lam up to lambda_2 it
 is positive semidefinite with null space 1, every source lies in its
 range, and the q-mean is removed from the answer once.  The class columns
@@ -44,13 +45,13 @@ M^-1 = D^-1 (s - A D^-1), with s 1.05 times a Gershgorin bound on the
 spectrum of B.  It maps each eigenvalue mu of B to mu (s - mu), which
 squeezes the bulk of the spectrum, and it is positive definite for every
 system with a positive diagonal, since s exceeds every mu, bipartite
-graphs (largest mu = 2) included.  Each block step applies the operator
-twice.  On the desk graph a solve takes 9 to 11 block steps, where plain
-Jacobi took 16 to 19 and k column-wise CGs in lockstep 24 to 28.  The
-halved step count pays for the second product only when the block is
-wide: at 10 classes a desk solve is faster than under plain Jacobi, at 2
-to 5 classes slower.  The poisson family keeps each search block
-centered and orthonormal, which its null space needs (see ``_pcg``).
+graphs (largest mu = 2) included.  ``_assemble`` builds it once per solve
+as a sparse matrix on the Laplacian's index arrays (see ``_System``), so
+each block step applies it with one sparse product, and the operator
+with another.  On the desk graph a solve takes 9 to 11 block steps, where
+plain Jacobi took 16 to 19 and k column-wise CGs in lockstep 24 to 28.
+The poisson family keeps each search block centered and orthonormal,
+which its null space needs (see ``_pcg``).
 
 The variance term is maximized, so both v_* systems lose positive
 definiteness once ``lam`` passes a graph-dependent stability bound.  For
@@ -174,28 +175,21 @@ def _eigh(a):
     return theta, V
 
 
-def _pcg(matvec, b, diag, shift, tol, max_iter, centered=False):
+def _pcg(matvec, precondition, b, tol, max_iter, centered=False):
     """Block preconditioned conjugate gradients on all columns of ``b``.
 
     The k columns share one block Krylov space (O'Leary 1980): each step
     moves along a block ``W`` of k directions.  With ``Q = A W`` and
     ``G = W^T Q``, a step is ``X += W a`` and ``R -= Q a`` with
     ``a = G^+ W^T R``, and the next block is ``W = Z - W G^+ Q^T Z``, with
-    ``Z`` the preconditioned residual.  ``G^+`` is the pseudo-inverse over
-    the eigenvalues of ``G`` above 1e-13 of the largest.  It drops the
-    directions of a rank-deficient block (Ji & Li 2017), such as a zero
-    right-hand-side column.  With one column this is plain CG.  ``A`` may
-    be positive semidefinite when ``b`` lies in its range (Kaasschieter
-    1988): ``G`` and ``W^T R`` do not see the null-space parts of ``W``,
-    which reach only ``X``.
-
-    The preconditioner is the degree-1 polynomial in the Jacobi-scaled
-    operator (Johnson, Micchelli & Paul 1983; Saad, Iterative Methods for
-    Sparse Linear Systems, section 12.3), ``Z = D^-1 (s R - A D^-1 R)``
-    with ``D = diag`` and ``s = shift``, which applies the operator a second
-    time in each step.  It is symmetric positive definite when ``s``
-    exceeds the largest eigenvalue of ``D^-1 A``, and it maps an
-    eigenvalue ``mu`` of ``D^-1 A`` to ``mu (s - mu)``.
+    ``Z = precondition(R)``, a new C-ordered block.  ``G^+`` is the
+    pseudo-inverse over the eigenvalues of ``G`` above 1e-13 of the
+    largest.  It drops the directions of a rank-deficient block (Ji & Li
+    2017), such as a zero right-hand-side column.  With one column this is
+    plain CG.  ``A`` may be positive semidefinite when ``b`` lies in its
+    range (Kaasschieter 1988): ``G`` and ``W^T R`` do not see the
+    null-space parts of ``W``, which reach only ``X``.  The preconditioner
+    must be symmetric positive definite on the space that ``R`` spans.
 
     With ``centered`` the operator's null space is 1, as for the poisson
     family.  Each new block then loses its part along 1 and, if it has
@@ -230,30 +224,22 @@ def _pcg(matvec, b, diag, shift, tol, max_iter, centered=False):
     x = np.zeros(b.shape)
     if bnorm == 0.0:
         return x, 0, 0.0, True
-    # multiplies, not divides: the block is scaled twice in every step
-    s_over_d, inv_sd = (shift / diag)[:, None], (1.0 / (shift * diag))[:, None]
     r = np.array(b, order="C")
-    z = np.empty_like(r)
     ones = np.ones((b.shape[0], 1))  # the null space when centered
-
-    def precondition(out):
-        np.multiply(r, s_over_d, out=out)  # s D^-1 R
-        Az = matvec(out)
-        out -= np.multiply(Az, inv_sd, out=Az)  # D^-1 A D^-1 R
 
     def centered_basis(block):
         """The search block for ``block``, which it overwrites, when ``centered``."""
         _addmul(block, ones, ones.T @ block, -1.0 / len(block))
         if block.shape[1] == 1:
-            return block.copy()
+            return block
         sigma, U = _eigh(dgemm(1.0, block.T, block.T, trans_b=True))
         keep = sigma > 1e-14 * sigma[-1]
         if not keep.any():
-            return block.copy()  # zero, so G = 0 raises below
+            return block  # zero, so G = 0 raises below
         return block @ (U[:, keep] / np.sqrt(sigma[keep]))
 
-    precondition(z)
-    w = centered_basis(z) if centered else z.copy()
+    z = precondition(r)
+    w = centered_basis(z) if centered else z
     for iterations in range(1, max_iter + 1):
         q = matvec(w)
         theta, V = _eigh(w.T @ q)
@@ -277,13 +263,9 @@ def _pcg(matvec, b, diag, shift, tol, max_iter, centered=False):
         rel = float(np.linalg.norm(r)) / bnorm
         if rel <= tol:
             return x, iterations, rel, True
-        precondition(z)
-        c = Gplus @ (q.T @ z)
-        _addmul(z, w, c, -1.0)
-        if centered:
-            w = centered_basis(z)
-        else:
-            w, z = z, w
+        z = precondition(r)
+        _addmul(z, w, Gplus @ (q.T @ z), -1.0)
+        w = centered_basis(z) if centered else z
     return x, max_iter, rel, False
 
 
@@ -339,26 +321,41 @@ def estimate_stability_limit(g: Graph) -> float:
 
 @dataclass(frozen=True)
 class _System:
-    """One method's system ``P (A + lam c c^T) P x = rhs`` over all n rows.
+    """One method's system ``(A + lam c c^T) x = rhs`` over all n rows, and its preconditioner.
 
-    ``A`` is ``L - lam diag(c)``: the graph's cached Laplacian, or at
-    ``lam > 0`` a copy of its values shifted at the diagonal, on the same
-    index arrays.  ``rhs`` holds the first k - 1 class columns; ``result``
+    ``A`` is ``L - lam diag(c)`` on the index arrays of the graph's cached
+    Laplacian: ``L`` itself for poisson at ``lam = 0``, else a copy of its
+    values.  ``rhs`` holds the first k - 1 class columns; ``result``
     recovers the last from the known row sum of ``u``.  The clamped family
-    (laplace, v_laplace) has ``labeled`` rows, which P zeroes, where ``u``
-    takes the targets ``y``; ``c`` is q with those rows zeroed, and every
-    row of ``u`` sums to 1.  The poisson family has no P and ``c = q``: its
-    operator is positive semidefinite with null space 1 while ``lam`` is
-    below lambda_2, the source lies in its range, and ``result`` removes
-    the q-mean; every row of ``u`` sums to 0.  ``diagonal`` is the
-    operator's Jacobi diagonal, and ``radius`` bounds its absolute
-    off-diagonal row sums, ``deg + lam c (sum(c) - c)``.
+    (laplace, v_laplace) has ``labeled`` rows, where ``u`` takes the
+    targets ``y``; ``A`` stores zeros in those rows and ``c`` is q with
+    them zeroed, so the operator maps a block that is zero there to one
+    that is zero there, and every row of ``u`` sums to 1.  The poisson
+    family has no labeled rows and ``c = q``: its operator is positive
+    semidefinite with null space 1 while ``lam`` is below lambda_2, the
+    source lies in its range, and ``result`` removes the q-mean; every row
+    of ``u`` sums to 0.
+
+    ``diagonal`` is the operator's Jacobi diagonal D, taken before the
+    labeled rows are zeroed.  The preconditioner is the degree-1
+    polynomial in the Jacobi-scaled operator B = D^-1 (A + lam c c^T)
+    (Johnson, Micchelli & Paul 1983; Saad, Iterative Methods for Sparse
+    Linear Systems, section 12.3), ``D^-1 (s - (A + lam c c^T) D^-1)``
+    with ``s = shift``.  It maps an eigenvalue ``mu`` of B to
+    ``mu (s - mu)`` and is symmetric positive definite on the free rows
+    when ``s`` exceeds every ``mu``.  ``shift`` is 1.05 times the
+    Gershgorin bound ``max(1 + radius / D)`` on that spectrum, with
+    ``radius = deg + lam c (sum(c) - c)`` bounding the absolute
+    off-diagonal row sums.  ``M`` holds its sparse part
+    ``D^-1 (s - A D^-1)`` on ``A``'s index arrays, so each application is
+    one sparse product, plus a rank-one update when ``lam > 0``.
     """
 
     A: sparse.csr_array
+    M: sparse.csr_array
     rhs: np.ndarray
     diagonal: np.ndarray
-    radius: np.ndarray
+    shift: float
     lam: float
     c: np.ndarray
     labeled: np.ndarray = None
@@ -369,22 +366,20 @@ class _System:
         """No unknowns (every node labeled) or a zero right-hand side."""
         return not self.rhs.any()
 
-    @property
-    def shift(self) -> float:
-        """The preconditioner shift of ``_pcg``: 1.05 times the Gershgorin
-        bound on the spectrum of ``diag(diagonal)^-1`` times the operator.
-        It exceeds that spectrum when the diagonal is positive, so the
-        preconditioner is then positive definite."""
-        return 1.05 * float(np.max(1.0 + self.radius / self.diagonal))
-
     def matvec(self, w):
         """The operator on a block ``w`` that is zero at the labeled rows."""
         Aw = self.A @ w
-        if self.labeled is not None:
-            Aw[self.labeled] = 0.0
         if self.lam > 0:
             _addmul(Aw, self.c[:, None], (self.c @ w)[None, :], self.lam)
         return Aw
+
+    def precondition(self, r):
+        """The preconditioner on a block ``r`` that is zero at the labeled rows."""
+        z = self.M @ r
+        if self.lam > 0:
+            cd = self.c / self.diagonal  # D^-1 c
+            _addmul(z, cd[:, None], (cd @ r)[None, :], -self.lam)
+        return z
 
     def result(self, x, iterations, final_residual, converged) -> SolveResult:
         if self.labeled is None:
@@ -448,18 +443,26 @@ def _assemble(g: Graph, labels: LabelSet, cfg: SolverConfig) -> _System:
                 RuntimeWarning,
                 stacklevel=3,
             )
-    diagonal = g._diagonal_positions
-    A = L
-    if lam > 0:
-        values = L.data.copy()
-        values[diagonal] -= lam * c
+    diag, A = g._diagonal_positions, L
+    values = L.data.copy()
+    values[diag] -= lam * c
+    diagonal = values[diag] + lam * c**2
+    if labeled is not None:
+        values[np.isin(g._rows, labeled)] = 0.0  # P folded in: the labeled rows vanish
+    if lam > 0 or labeled is not None:
         A = sparse.csr_array((values, L.indices, L.indptr), shape=L.shape)
+    # off the diagonal |A_ij| <= w_ij + lam c_i c_j; D <= 0 is rejected by
+    # solve before M is used, and dense_oracle_solve does not use it
+    with np.errstate(all="ignore"):
+        shift = 1.05 * float(np.max(1.0 + (g.degrees + lam * c * (c.sum() - c)) / diagonal))
+        m = -A.data / (diagonal[g._rows] * diagonal[L.indices])
+        m[diag] += shift / diagonal
     return _System(
         A=A,
+        M=sparse.csr_array((m, L.indices, L.indptr), shape=L.shape),
         rhs=rhs,
-        diagonal=A.data[diagonal] + lam * c**2,
-        # off the diagonal |A_ij| <= w_ij + lam c_i c_j
-        radius=g.degrees + lam * c * (c.sum() - c),
+        diagonal=diagonal,
+        shift=shift,
         lam=lam,
         c=c,
         labeled=labeled,
@@ -491,9 +494,8 @@ def solve(g: Graph, labels: LabelSet, cfg: SolverConfig) -> SolveResult:
         )
     x, iters, rel, conv = _pcg(
         system.matvec,
+        system.precondition,
         system.rhs,
-        system.diagonal,
-        system.shift,
         cfg.tol,
         cfg.max_iter,
         centered=system.labeled is None,

@@ -123,6 +123,18 @@ class TestRunTrials:
         with pytest.raises(InvalidParameterError, match="trials must be >= 1"):
             run_trials(bridged_cliques(), "laplace", 1, trials=0, base_seed=0)
 
+    @pytest.mark.parametrize("labels_per_class,trials", [(1.5, 2), (1, 2.0), (np.nan, 2)],
+                             ids=["labels_per_class1.5", "trials2.0", "labels_per_class_nan"])
+    def test_non_integer_counts_rejected(self, labels_per_class, trials):
+        # 1.5 labels per class used to draw 1 and report 1.5
+        with pytest.raises(InvalidParameterError, match="an integer"):
+            run_trials(bridged_cliques(), "laplace", labels_per_class, trials=trials, base_seed=0)
+
+    def test_numpy_integer_counts_accepted(self):
+        ds = bridged_cliques()
+        plain = run_trials(ds, "laplace", 1, trials=2, base_seed=0)
+        assert run_trials(ds, "laplace", np.int64(1), trials=np.int32(2), base_seed=0) == plain
+
     def test_vpl_threads_is_not_read(self, monkeypatch):
         ds = bridged_cliques()
         monkeypatch.delenv("VPL_THREADS", raising=False)

@@ -407,6 +407,11 @@ class TestSampler:
         with pytest.raises(InvalidParameterError, match="labels_per_class must be >= 1"):
             sample_label_set(make_dataset([0, 0, 1, 1]), 0, seed=0)
 
+    @pytest.mark.parametrize("m", [1.5, 1.0, np.nan, "1"])
+    def test_non_integer_labels_per_class_rejected(self, m):
+        with pytest.raises(InvalidParameterError, match="an integer"):
+            sample_label_set(make_dataset([0, 0, 1, 1]), m, seed=0)
+
     def test_insufficient_members_rejected(self):
         ds = make_dataset([0, 0, 1])
         with pytest.raises(InsufficientLabelsError, match="class 1"):
@@ -463,6 +468,11 @@ class TestDatasetValidation:
         with pytest.raises(error, match=match):
             Dataset(name="x", k=k, true_labels=np.array(labels, dtype=np.int64),
                     features=np.zeros((rows, 1)))
+
+    @pytest.mark.parametrize("k", [10.0, 2.5, np.nan])
+    def test_non_integer_class_count_rejected(self, k):
+        with pytest.raises(InvalidParameterError, match="an integer"):
+            Dataset(name="x", k=k, true_labels=np.array([0, 1]), features=np.zeros((2, 1)))
 
     def test_label_range_checked(self):
         with pytest.raises(InvalidInputError):

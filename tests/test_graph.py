@@ -123,6 +123,28 @@ class TestKnnConstruction:
         build_knn_graph(X, k)
         assert researched == []
 
+    @pytest.mark.parametrize("rank_bytes", [256 << 10, 16 * 40 * 5], ids=["default", "5pairs"])
+    def test_chunked_ranking_matches_one_pass(self, rank_bytes, monkeypatch):
+        # a block of 200 rows with 14 candidates each, and the exact
+        # re-search of one row over n - 1 candidates, each span several
+        # chunks of the gather; a chunk may end inside a row
+        def one_pass(X, rows, cand, k):
+            diff = X[cand] - X[rows, None, :]
+            dist = np.sqrt(np.einsum("rcd,rcd->rc", diff, diff))
+            order = np.lexsort((cand, dist))[:, :k]
+            return np.take_along_axis(cand, order, axis=1), np.take_along_axis(dist, order, axis=1)
+
+        monkeypatch.setattr(graph, "_KNN_RANK_BYTES", rank_bytes)
+        rng = np.random.Generator(np.random.Philox(29))
+        X = rng.normal(size=(3000, 40))
+        rows = np.arange(200)
+        block = (rows[:, None] + rng.integers(1, 3000, size=(200, 14))) % 3000
+        research = np.delete(np.arange(3000), 1234)[None, :]
+        for rows, cand in ((rows, block), (np.array([1234]), research)):
+            assert cand.size * 16 * 40 > 2 * rank_bytes
+            for got, expected in zip(graph._rank(X, rows, cand, 10), one_pass(X, rows, cand, 10)):
+                assert np.array_equal(got, expected)
+
     @pytest.mark.parametrize(
         "offset,scale,column",
         [(0.0, 1.0, 1.0), (1e3, 1e-6, 1.0), (0.0, 1e-100, 1.0), (0.0, 1e100, 1.0), (0.0, 1.0, 1e6)],
@@ -155,7 +177,7 @@ class TestKnnConstruction:
 
     def test_blocks_sized_by_features_match_kd_tree(self):
         # 4.3 MB of features, over the 4 MB floor: the budget is X.nbytes, so
-        # blocks of 52 rows, and the last of the 81 blocks holds 40
+        # blocks of 83 rows, and the last of the 51 blocks holds 50
         rng = np.random.Generator(np.random.Philox(13))
         X = rng.normal(size=(4200, 128))
         assert X.nbytes > 4 << 20
@@ -175,9 +197,10 @@ class TestKnnConstruction:
     def test_peak_memory_bounded_by_features(self, shape):
         # 4.3 MB of features in each shape.  The search sets the peak: its
         # float32 copy of the features (0.5x X.nbytes) plus one block's
-        # temporaries, both paid for from one budget of X.nbytes, reach 1.10x
-        # at 2100x256 and 1.15x at 4200x128, where the edge merge that
-        # follows peaks at 1.14x
+        # temporaries, both paid for from one budget of X.nbytes, and the
+        # 256 KB that _rank gathers at a time outside it, reach 1.11x at
+        # 2100x256 and 1.18x at 4200x128, where the edge merge that follows
+        # peaks at 1.14x
         X = np.random.Generator(np.random.Philox(17)).normal(size=shape)
         tracemalloc.start()
         try:
@@ -190,6 +213,17 @@ class TestKnnConstruction:
     def test_k_too_large_rejected(self):
         with pytest.raises(InvalidParameterError):
             build_knn_graph(np.zeros((3, 2)), 3)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.nan])
+    def test_non_integer_k_rejected(self, k):
+        # 2.5 used to build the k = 2 graph, and NaN to fail with a bare ValueError
+        with pytest.raises(InvalidParameterError, match="an integer"):
+            build_knn_graph(np.arange(8.0), k)
+
+    def test_numpy_integer_k_accepted(self):
+        a = build_knn_graph(np.arange(8.0), 2).adjacency
+        b = build_knn_graph(np.arange(8.0), np.int64(2)).adjacency
+        assert (a != b).nnz == 0
 
     def test_one_dimensional_features_are_one_column(self):
         a = build_knn_graph(np.array([0.0, 1.0, 3.0]), 2).adjacency
@@ -551,6 +585,11 @@ class TestLabelSet:
     def test_class_count_below_one_rejected(self):
         with pytest.raises(InvalidParameterError, match="k must be >= 1"):
             LabelSet(k=0, entries=((0, 0),))
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.nan])
+    def test_non_integer_class_count_rejected(self, k):
+        with pytest.raises(InvalidParameterError, match="an integer"):
+            LabelSet(k=k, entries=((0, 0),))
 
     def test_negative_node_rejected(self):
         with pytest.raises(InvalidInputError, match="nonnegative"):

@@ -10,16 +10,20 @@ from scipy.sparse.linalg import cg as sparse_cg
 
 from helpers import random_connected_graph, random_label_set
 from varprop import (
+    METHODS,
+    Dataset,
     LabelSet,
     SolverConfig,
     build_knn_graph,
     dense_oracle_solve,
+    derive_trial_seed,
     estimate_stability_limit,
     graph_from_edges,
     laplacian_apply,
     make_cluster_dataset,
     objective_value,
     predict,
+    sample_label_set,
     solve,
     solvers,
     variance,
@@ -477,7 +481,7 @@ class TestBlockPCG:
         A = sparse.csr_array(np.diag([1.0, 0.0]))
         b = np.array([[0.0], [1.0]])
         with pytest.raises(DivergenceError, match="no search direction of positive curvature"):
-            solvers._pcg(lambda v: A @ v, b, np.ones(2), 2.1, 1e-8, 10)
+            solvers._pcg(lambda v: A @ v, lambda r: 2.1 * r - A @ r, b, 1e-8, 10)
 
     @pytest.fixture(scope="class")
     def clusters(self):
@@ -493,11 +497,10 @@ class TestBlockPCG:
         # eigenvalue of W^T A W would cost extra steps here
         g, ls = clusters
         system = solvers._assemble(g, ls, SolverConfig(method=method, lam=5.0))
-        args = system.diagonal, system.shift, 1e-8, 1000
         # the system holds the first k - 1 source columns; the last is minus their sum
         source = np.column_stack([system.rhs, -system.rhs.sum(axis=1)])
-        full = solvers._pcg(system.matvec, source, *args)
-        reduced = solvers._pcg(system.matvec, system.rhs, *args)
+        full = solvers._pcg(system.matvec, system.precondition, source, 1e-8, 1000)
+        reduced = solvers._pcg(system.matvec, system.precondition, system.rhs, 1e-8, 1000)
         assert full[1] == reduced[1]
         np.testing.assert_allclose(full[0][:, :-1], reduced[0], rtol=0, atol=1e-12)
 
@@ -506,9 +509,9 @@ class TestBlockPCG:
         # builds its own whatever the layout of b
         g, ls = clusters
         system = solvers._assemble(g, ls, SolverConfig(method="v_laplace", lam=5.0))
-        args = system.diagonal, system.shift, 1e-8, 1000
-        c_order = solvers._pcg(system.matvec, system.rhs, *args)
-        f_order = solvers._pcg(system.matvec, np.asfortranarray(system.rhs), *args)
+        args = system.matvec, system.precondition
+        c_order = solvers._pcg(*args, system.rhs, 1e-8, 1000)
+        f_order = solvers._pcg(*args, np.asfortranarray(system.rhs), 1e-8, 1000)
         assert f_order[3] and f_order[1] == c_order[1]
         np.testing.assert_array_equal(f_order[0], c_order[0])
 
@@ -661,6 +664,46 @@ class TestFullLengthSystem:
             r = b - lu + lam * q * (u - q.T @ u)
         full = np.linalg.norm(r) / np.linalg.norm(b)
         assert full <= np.sqrt(ls.k) * res.final_residual + 1e-12
+
+
+class TestAssembledOperators:
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_preconditioner_is_the_polynomial_in_the_operator(self, method, lam):
+        # D^-1 (s r - (A + lam c c^T) D^-1 r), from the sparse M and the
+        # rank-one term, on a block that is zero at the labeled rows
+        g = random_connected_graph(93, 200)
+        ls = random_label_set(93, 200, 4, 3)
+        system = solvers._assemble(g, ls, SolverConfig(method=method, lam=lam))
+        r = np.random.Generator(np.random.Philox(93)).normal(size=(g.n, 3))
+        if system.labeled is not None:
+            r[system.labeled] = 0.0
+            assert not system.A[system.labeled].toarray().any()
+        d = system.diagonal[:, None]
+        expected = system.shift * r / d - system.matvec(r / d) / d
+        got = system.precondition(r)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_stream_schedule_takes_at_most_11_steps(self):
+        # the (method, lam, labels per class) schedule of perfbench's
+        # solve_stream workload, on its desk graph and seed-1 label sets
+        schedule = (
+            [("laplace", 0.1, 1), ("laplace", 0.1, 5), ("poisson", 0.1, 1), ("poisson", 0.1, 5)]
+            + [("v_laplace", lam, m) for lam, m in ((0.1, 1), (0.1, 5), (5, 1), (5, 5), (20, 5), (40, 5))]
+            + [("v_poisson", lam, m) for lam in (0.1, 5, 20, 40) for m in (1, 5)]
+        )
+        assert len(schedule) == 18
+        X, y = make_cluster_dataset(n_samples=2000, n_classes=10)
+        ds = Dataset(name="desk", k=10, true_labels=y, graph=build_knn_graph(X, 10))
+        steps = []
+        for index, (method, lam, m) in enumerate(2 * schedule):
+            labels = sample_label_set(ds, m, derive_trial_seed(1, index))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # v_poisson near its bound
+                res = solve(ds.graph, labels, SolverConfig(method=method, lam=lam))
+            assert res.converged
+            steps.append(res.iterations)
+        assert max(steps) <= 11, steps
 
 
 class TestPredict:
