@@ -41,6 +41,7 @@ class TrialReport:
     seeds: tuple
     mean: float
     std: float
+    majority_share: float
 
 
 def _summarize(accuracies):
@@ -73,9 +74,16 @@ def run_trials(
 
     A trial fails when its solver diverges, finds the problem ill-posed, or
     returns a result with ``converged=False``; failed trials are counted in
-    ``failures`` and left out of ``accuracies`` and the mean.  Dataset-level
-    problems (too few class members, nothing unlabeled to score) propagate
-    immediately.
+    ``failures`` and left out of ``accuracies``, the mean and
+    ``majority_share``.  Dataset-level problems (too few class members,
+    nothing unlabeled to score) propagate immediately.
+
+    ``majority_share`` is the share of unlabeled nodes predicted to be in
+    the most-predicted class, averaged over the scored trials (None when
+    none scored): 1 / k for predictions spread evenly over k classes, 1
+    when every unlabeled node gets one class, the low-label degeneracy of
+    Laplace learning (Calder, Cook, Thorpe & Slepcev 2020, "Poisson
+    Learning").
 
     Trials run one after another in the calling thread.  A thread pool over
     trials competed with the BLAS threads inside each solve for the cores:
@@ -89,7 +97,7 @@ def run_trials(
     cfg = replace(cfg or SolverConfig(), method=method)
     seeds = tuple(derive_trial_seed(base_seed, t) for t in range(trials))
 
-    accuracies = []
+    accuracies, shares = [], []
     for seed in seeds:
         label_set = sample_label_set(ds, labels_per_class, seed)
         try:
@@ -97,7 +105,10 @@ def run_trials(
         except (DivergenceError, IllPosedError):
             continue
         if result.converged:
-            accuracies.append(accuracy_on_unlabeled(predict(result.u), ds.true_labels, label_set))
+            predicted = predict(result.u)
+            accuracies.append(accuracy_on_unlabeled(predicted, ds.true_labels, label_set))
+            free = np.delete(predicted, label_set.nodes)
+            shares.append(np.bincount(free).max() / free.size)
     mean, std = _summarize(accuracies)
     return TrialReport(
         dataset=ds.name,
@@ -109,6 +120,7 @@ def run_trials(
         seeds=seeds,
         mean=mean,
         std=std,
+        majority_share=_summarize(shares)[0],
     )
 
 

@@ -10,6 +10,7 @@ per class with a counter-based 64-bit generator, so splits reproduce
 exactly on any platform.
 """
 
+import itertools
 import numbers
 import warnings
 from dataclasses import dataclass, replace
@@ -24,7 +25,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .graph import Graph, LabelSet, build_knn_graph, graph_from_edges
+from .graph import Graph, LabelSet, _integers, build_knn_graph, graph_from_edges
 
 __all__ = [
     "Dataset",
@@ -55,14 +56,17 @@ def _mix64(z: int) -> int:
 
 
 def _stream(*words: int):
-    """Deterministic uint64 stream keyed on ``words``: value(i) = mix(base + i * golden)."""
+    """Deterministic uint64 stream keyed on ``words``: value(i) = mix(base + i * golden).
+
+    Every word must be an integer (numpy integers pass): a seed of 1.9
+    would otherwise key the stream of seed 1.
+    """
     base = 0x243F6A8885A308D3
     for w in words:
+        if not isinstance(w, numbers.Integral):
+            raise InvalidParameterError(f"seeds must be integers, got {w!r}")
         base = _mix64(base ^ _mix64(int(w)))
-    i = 0
-    while True:
-        yield _mix64((base + i * _GOLDEN) & _MASK64)
-        i += 1
+    return (_mix64((base + i * _GOLDEN) & _MASK64) for i in itertools.count())
 
 
 def derive_trial_seed(base_seed: int, trial_index: int) -> int:
@@ -75,8 +79,8 @@ class Dataset:
     """Feature- or graph-backed classification dataset.
 
     Exactly the label vector is mandatory; ``features`` and ``graph`` may
-    each be present.  ``k`` counts classes, and every label must lie in
-    [0, k).
+    each be present.  ``k`` counts classes, and every label must be an
+    integer in [0, k).
     """
 
     name: str
@@ -86,7 +90,7 @@ class Dataset:
     graph: Graph = None
 
     def __post_init__(self):
-        labels = np.asarray(self.true_labels, dtype=np.int64)
+        labels = _integers(self.true_labels, "true labels")
         object.__setattr__(self, "true_labels", labels)
         if self.features is not None:
             object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))

@@ -38,9 +38,9 @@ class Graph:
     diagonal.  ``degrees[i]`` is the row sum of ``adjacency`` and
     ``degree_weights`` are the degrees normalized to sum to one.  Build one
     with :func:`graph_from_edges` or :meth:`from_adjacency`, which apply the
-    same rules.  Each graph builds its Laplacian, the row of each of its
-    stored values, the positions of its diagonal among them, and its
-    component labels once, on first use.  It also computes lambda_2 of the
+    same rules.  Each graph builds its Laplacian, the positions of its
+    diagonal among the Laplacian's stored values, and its component labels
+    once, on first use.  It also computes lambda_2 of the
     pencil (L, diag q) at most once, with ``estimate_stability_limit``, on
     the first v_poisson solve with ``lam > 0``, whose near-bound warning
     reads it.  Instances are safe to share between concurrent solver runs; treat
@@ -65,15 +65,11 @@ class Graph:
         return (sparse.diags_array(self.degrees) - self.adjacency).tocsr()
 
     @cached_property
-    def _rows(self) -> np.ndarray:
-        """The row of each stored value of the Laplacian."""
-        return np.repeat(np.arange(self.n), np.diff(self._laplacian.indptr))
-
-    @cached_property
     def _diagonal_positions(self) -> np.ndarray:
         """Positions of the diagonal in the Laplacian's values, one per row:
         every node has a positive degree, so every row stores its diagonal."""
-        return np.flatnonzero(self._laplacian.indices == self._rows)
+        L = self._laplacian
+        return np.flatnonzero(L.indices == np.repeat(np.arange(self.n), np.diff(L.indptr)))
 
     @cached_property
     def components(self):
@@ -112,8 +108,8 @@ class Graph:
 class LabelSet:
     """Labeled nodes with one-hot targets.
 
-    ``entries`` are (node index, class index) pairs; node indices must be
-    unique and class indices below ``k``.
+    ``entries`` are (node index, class index) pairs of integers; node
+    indices must be unique and class indices below ``k``.
     """
 
     k: int
@@ -122,7 +118,11 @@ class LabelSet:
     def __post_init__(self):
         if not isinstance(self.k, numbers.Integral) or self.k < 1:
             raise InvalidParameterError(f"class count k must be >= 1 and an integer, got {self.k!r}")
-        pairs = tuple((int(i), int(c)) for i, c in self.entries)
+        pairs = tuple(self.entries)
+        for i, c in pairs:
+            if not (isinstance(i, numbers.Integral) and isinstance(c, numbers.Integral)):
+                raise InvalidInputError(f"node and class indices must be integers, got ({i!r}, {c!r})")
+        pairs = tuple((int(i), int(c)) for i, c in pairs)
         if not pairs:
             raise InvalidInputError("at least one labeled node is required")
         nodes = [i for i, _ in pairs]
@@ -158,18 +158,20 @@ def graph_from_edges(n, src, dst, weight=None) -> Graph:
 
     Each edge may be listed in either orientation, or several times; all
     copies of an edge, i->j and j->i alike, merge by their maximum weight.
-    Zero-weight edges are dropped.  Negative or non-finite weights,
-    self-loops and isolated nodes raise InvalidInputError.
+    Zero-weight edges are dropped.  Endpoints without an integer dtype,
+    negative or non-finite weights, self-loops and isolated nodes raise
+    InvalidInputError; a node count that is not a positive integer raises
+    InvalidParameterError.
     """
-    src = np.asarray(src, dtype=np.int64).ravel()
-    dst = np.asarray(dst, dtype=np.int64).ravel()
+    src = _integers(src, "src").ravel()
+    dst = _integers(dst, "dst").ravel()
     if weight is None:
         weight = np.ones(src.size)
     weight = np.asarray(weight, dtype=np.float64).ravel()
     if not (src.size == dst.size == weight.size):
         raise InvalidInputError("src, dst and weight arrays must have equal length")
-    if n < 1:
-        raise InvalidParameterError("node count must be >= 1")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidParameterError(f"node count must be >= 1 and an integer, got {n!r}")
     if src.size == 0:
         raise InvalidInputError("at least one edge is required")
     if src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n:
@@ -205,6 +207,14 @@ def graph_from_edges(n, src, dst, weight=None) -> Graph:
         degrees=degrees,
         degree_weights=degrees / degrees.sum(),
     )
+
+
+def _integers(values, name) -> np.ndarray:
+    """``values`` as an int64 array; InvalidInputError unless they are empty or of an integer dtype."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise InvalidInputError(f"{name} must have an integer dtype, got {values.dtype}")
+    return values.astype(np.int64, copy=False)
 
 
 def _directed_max(n, src, dst, weight) -> sparse.csr_array:

@@ -443,19 +443,20 @@ def _assemble(g: Graph, labels: LabelSet, cfg: SolverConfig) -> _System:
                 RuntimeWarning,
                 stacklevel=3,
             )
-    diag, A = g._diagonal_positions, L
+    diag, A, counts = g._diagonal_positions, L, np.diff(L.indptr)
     values = L.data.copy()
     values[diag] -= lam * c
     diagonal = values[diag] + lam * c**2
     if labeled is not None:
-        values[np.isin(g._rows, labeled)] = 0.0  # P folded in: the labeled rows vanish
+        # P folded in: the labeled rows vanish
+        values[np.repeat(np.bincount(labeled, minlength=g.n) > 0, counts)] = 0.0
     if lam > 0 or labeled is not None:
         A = sparse.csr_array((values, L.indices, L.indptr), shape=L.shape)
     # off the diagonal |A_ij| <= w_ij + lam c_i c_j; D <= 0 is rejected by
     # solve before M is used, and dense_oracle_solve does not use it
     with np.errstate(all="ignore"):
         shift = 1.05 * float(np.max(1.0 + (g.degrees + lam * c * (c.sum() - c)) / diagonal))
-        m = -A.data / (diagonal[g._rows] * diagonal[L.indices])
+        m = -A.data / (np.repeat(diagonal, counts) * diagonal[L.indices])
         m[diag] += shift / diagonal
     return _System(
         A=A,

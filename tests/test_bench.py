@@ -12,6 +12,7 @@ from varprop import (
     accuracy_on_unlabeled,
     emit_table,
     graph_from_edges,
+    make_cluster_dataset,
     run_trials,
     with_knn_graph,
 )
@@ -27,6 +28,13 @@ def two_cluster_feature_dataset():
     X = np.vstack([a, b])
     labels = np.array([0] * 12 + [1] * 12)
     return with_knn_graph(Dataset(name="clusters", k=2, true_labels=labels, features=X), 3)
+
+
+@pytest.fixture(scope="module")
+def desk_dataset():
+    """The README desk data: 2000 samples in 10 classes on its 10-NN graph."""
+    X, y = make_cluster_dataset(2000, 10)
+    return with_knn_graph(Dataset(name="desk", k=10, true_labels=y, features=X), 10)
 
 
 def bridged_cliques(m=6, eps=1e-3):
@@ -130,10 +138,40 @@ class TestRunTrials:
         with pytest.raises(InvalidParameterError, match="an integer"):
             run_trials(bridged_cliques(), "laplace", labels_per_class, trials=trials, base_seed=0)
 
+    def test_non_integer_base_seed_rejected(self):
+        # truncated, base_seed=1.9 would rerun the trials of seed 1
+        with pytest.raises(InvalidParameterError, match="integers"):
+            run_trials(bridged_cliques(), "laplace", 1, trials=2, base_seed=1.9)
+
     def test_numpy_integer_counts_accepted(self):
         ds = bridged_cliques()
         plain = run_trials(ds, "laplace", 1, trials=2, base_seed=0)
         assert run_trials(ds, "laplace", np.int64(1), trials=np.int32(2), base_seed=0) == plain
+
+    def test_majority_share_of_exact_predictions(self):
+        # 11 unlabeled nodes in each of the two clusters, all predicted right
+        report = run_trials(two_cluster_feature_dataset(), "laplace", 1, trials=3, base_seed=4)
+        assert report.accuracies == (1.0,) * 3
+        assert report.majority_share == 0.5
+
+    def test_majority_share_none_without_scored_trials(self, silence_runtime_warnings):
+        cfg = SolverConfig(lam=1e6)
+        report = run_trials(bridged_cliques(), "v_poisson", 1, trials=2, base_seed=0, cfg=cfg)
+        assert report.failures == 2 and report.majority_share is None
+
+    @pytest.mark.parametrize("method,m,accuracy,share", [
+        ("laplace", 1, 13.5, 94.4),
+        ("laplace", 5, 44.6, 46.2),
+        ("poisson", 1, 57.3, 15.1),
+        ("poisson", 5, 67.6, 14.8),
+    ])
+    def test_desk_collapse_cells(self, desk_dataset, method, m, accuracy, share):
+        # the baseline cells of the collapse table: laplace puts most
+        # unlabeled nodes in one class at 1 label per class, poisson does not
+        report = run_trials(desk_dataset, method, m, trials=20, base_seed=11)
+        assert report.failures == 0
+        assert round(100 * report.mean, 1) == accuracy
+        assert round(100 * report.majority_share, 1) == share
 
     def test_vpl_threads_is_not_read(self, monkeypatch):
         ds = bridged_cliques()
@@ -154,6 +192,7 @@ def report_fixture(method="poisson", m=1, mean=0.613, std=0.049):
         seeds=(1, 2),
         mean=mean,
         std=std,
+        majority_share=0.5,
     )
 
 
@@ -203,6 +242,7 @@ class TestEmitTable:
             "dataset",
             "failures",
             "labels_per_class",
+            "majority_share",
             "mean",
             "method",
             "seeds",

@@ -412,6 +412,24 @@ class TestSampler:
         with pytest.raises(InvalidParameterError, match="an integer"):
             sample_label_set(make_dataset([0, 0, 1, 1]), m, seed=0)
 
+    @pytest.mark.parametrize("seed", [1.9, 1.0, "1"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(InvalidParameterError, match="integers"):
+            sample_label_set(make_dataset([0, 0, 1, 1]), 1, seed=seed)
+
+    @pytest.mark.parametrize("word", ["base_seed", "trial_index"])
+    def test_non_integer_trial_seed_words_rejected(self, word):
+        # truncated, derive_trial_seed(1.9, 0) would be derive_trial_seed(1, 0)
+        args = {"base_seed": 1, "trial_index": 0}
+        args[word] = 1.9
+        with pytest.raises(InvalidParameterError, match="integers"):
+            derive_trial_seed(**args)
+
+    def test_numpy_integer_seeds_accepted(self):
+        ds = make_dataset([0, 0, 1, 1, 2, 2])
+        assert derive_trial_seed(np.int64(7), np.uint8(3)) == derive_trial_seed(7, 3)
+        assert sample_label_set(ds, 1, seed=np.int32(5)) == sample_label_set(ds, 1, seed=5)
+
     def test_insufficient_members_rejected(self):
         ds = make_dataset([0, 0, 1])
         with pytest.raises(InsufficientLabelsError, match="class 1"):
@@ -473,6 +491,19 @@ class TestDatasetValidation:
     def test_non_integer_class_count_rejected(self, k):
         with pytest.raises(InvalidParameterError, match="an integer"):
             Dataset(name="x", k=k, true_labels=np.array([0, 1]), features=np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.7, 1.2], [0.0, 1.0, 1.0], [False, True, True]],
+                             ids=["fractional", "integral_floats", "bool"])
+    def test_non_integer_labels_rejected(self, labels):
+        # truncated, [0.5, 1.7, 1.2] would be the valid labels [0, 1, 1]
+        with pytest.raises(InvalidInputError, match="integer dtype"):
+            Dataset(name="x", k=2, true_labels=labels, features=np.zeros((3, 1)))
+
+    def test_numpy_integer_labels_accepted(self):
+        ds = Dataset(name="x", k=2, true_labels=np.array([0, 1, 1], np.uint8),
+                     features=np.zeros((3, 1)))
+        assert ds.true_labels.dtype == np.int64
+        np.testing.assert_array_equal(ds.true_labels, [0, 1, 1])
 
     def test_label_range_checked(self):
         with pytest.raises(InvalidInputError):

@@ -332,6 +332,23 @@ class TestGraphValidation:
         with pytest.raises(InvalidInputError, match=match):
             graph_from_edges(3, src, dst, weight)
 
+    @pytest.mark.parametrize("src,dst", [([0.5, 1.7], [1.2, 2.9]), ([0, 1], [1.0, 2.0])],
+                             ids=["fractional", "float_dst"])
+    def test_non_integer_endpoints_rejected(self, src, dst):
+        # truncated, [0.5, 1.7] -> [1.2, 2.9] would be the edges 0-1 and 1-2
+        with pytest.raises(InvalidInputError, match="integer dtype"):
+            graph_from_edges(3, src, dst)
+
+    @pytest.mark.parametrize("n", [3.5, 3.0, np.nan])
+    def test_non_integer_node_count_rejected(self, n):
+        with pytest.raises(InvalidParameterError, match="an integer"):
+            graph_from_edges(n, [0, 1], [1, 2])
+
+    def test_numpy_integer_edges_accepted(self):
+        a = graph_from_edges(3, [0, 1], [1, 2]).adjacency
+        b = graph_from_edges(np.int32(3), np.array([0, 1], np.uint8), np.array([1, 2], np.int32))
+        assert (a != b.adjacency).nnz == 0
+
     def test_node_count_past_edge_ends_rejected_before_allocation(self):
         # n > 2 * edges leaves a node isolated; nothing of size n is built
         with pytest.raises(InvalidInputError, match=r"2999999999 isolated node\(s\), e\.g\. node 1;"):
@@ -590,6 +607,17 @@ class TestLabelSet:
     def test_non_integer_class_count_rejected(self, k):
         with pytest.raises(InvalidParameterError, match="an integer"):
             LabelSet(k=k, entries=((0, 0),))
+
+    @pytest.mark.parametrize("entries", [((1.5, 0), (3, 1)), ((1, 0), (3, 1.9)), ((1.0, 0),)],
+                             ids=["node1.5", "class1.9", "node1.0"])
+    def test_non_integer_indices_rejected(self, entries):
+        # truncated, ((1.5, 0), (3, 1.9)) would be the valid ((1, 0), (3, 1))
+        with pytest.raises(InvalidInputError, match="integers"):
+            LabelSet(k=2, entries=entries)
+
+    def test_numpy_integer_indices_accepted(self):
+        ls = LabelSet(k=2, entries=((np.int64(1), np.int32(0)), (np.uint8(3), 1)))
+        assert ls.entries == ((1, 0), (3, 1))
 
     def test_negative_node_rejected(self):
         with pytest.raises(InvalidInputError, match="nonnegative"):

@@ -666,6 +666,13 @@ class TestFullLengthSystem:
         assert full <= np.sqrt(ls.k) * res.final_residual + 1e-12
 
 
+@pytest.fixture(scope="module")
+def desk_graph():
+    """The desk data, 2000 samples in 10 classes, on its 10-NN graph."""
+    X, y = make_cluster_dataset(n_samples=2000, n_classes=10)
+    return Dataset(name="desk", k=10, true_labels=y, graph=build_knn_graph(X, 10))
+
+
 class TestAssembledOperators:
     @pytest.mark.parametrize("lam", [0.0, 5.0])
     @pytest.mark.parametrize("method", METHODS)
@@ -683,6 +690,38 @@ class TestAssembledOperators:
         expected = system.shift * r / d - system.matvec(r / d) / d
         got = system.precondition(r)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("case", ["random", "desk1", "desk5"])
+    def test_operators_match_per_value_row_reference(self, desk_graph, case, method, lam):
+        # A and M, bitwise, against a build from an explicit row for every
+        # stored value: np.isin finds the clamped rows, a gather the row scales
+        if case == "random":
+            g, ls = random_connected_graph(93, 200), random_label_set(93, 200, 4, 3)
+        else:
+            g = desk_graph.graph
+            ls = sample_label_set(desk_graph, int(case[-1]), derive_trial_seed(11, 0))
+        cfg = SolverConfig(method=method, lam=lam)
+        system = solvers._assemble(g, ls, cfg)
+        L, lam = g.laplacian_matrix(), cfg.variance_weight
+        rows = np.repeat(np.arange(g.n), np.diff(L.indptr))
+        diag = np.flatnonzero(L.indices == rows)
+        c = g.degree_weights.copy()
+        values = L.data.copy()
+        if method in ("laplace", "v_laplace"):
+            c[ls.nodes] = 0.0
+        values[diag] -= lam * c
+        diagonal = values[diag] + lam * c**2
+        if method in ("laplace", "v_laplace"):
+            values[np.isin(rows, ls.nodes)] = 0.0
+        m = -values / (diagonal[rows] * diagonal[L.indices])
+        m[diag] += system.shift / diagonal
+        assert system.A.data.tobytes() == values.tobytes()
+        assert system.diagonal.tobytes() == diagonal.tobytes()
+        assert system.M.data.tobytes() == m.tobytes()
+        for op in (system.A, system.M):
+            assert np.array_equal(op.indices, L.indices) and np.array_equal(op.indptr, L.indptr)
 
     def test_stream_schedule_takes_at_most_11_steps(self):
         # the (method, lam, labels per class) schedule of perfbench's
