@@ -6,7 +6,7 @@ would inflate the clamping methods).  Trial seeds derive from
 (base_seed, trial index), so reports are independent of execution order.
 """
 
-import numbers
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -17,6 +17,7 @@ from .errors import (
     IllPosedError,
     InvalidParameterError,
     LayoutError,
+    checked_int,
 )
 from .graph import LabelSet
 from .solvers import SolverConfig, predict, solve
@@ -34,6 +35,7 @@ __all__ = [
 class TrialReport:
     dataset: str
     method: str
+    lam: float
     labels_per_class: int
     trials: int
     accuracies: tuple
@@ -75,8 +77,11 @@ def run_trials(
     A trial fails when its solver diverges, finds the problem ill-posed, or
     returns a result with ``converged=False``; failed trials are counted in
     ``failures`` and left out of ``accuracies``, the mean and
-    ``majority_share``.  Dataset-level problems (too few class members,
-    nothing unlabeled to score) propagate immediately.
+    ``majority_share``.  ``lam`` is the variance weight the trials ran
+    with, ``cfg.variance_weight``: 0.0 for laplace and poisson.
+    Dataset-level problems (too few class members, nothing unlabeled to
+    score) propagate immediately.  ``trials``, like ``labels_per_class``, is
+    an integer >= 1 by :func:`errors.checked_int`.
 
     ``majority_share`` is the share of unlabeled nodes predicted to be in
     the most-predicted class, averaged over the scored trials (None when
@@ -92,8 +97,7 @@ def run_trials(
     """
     if ds.graph is None:
         raise InvalidParameterError("dataset has no graph; attach one with with_knn_graph")
-    if not isinstance(trials, numbers.Integral) or trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1 and an integer, got {trials!r}")
+    trials = checked_int(trials, "trials", low=1)
     cfg = replace(cfg or SolverConfig(), method=method)
     seeds = tuple(derive_trial_seed(base_seed, t) for t in range(trials))
 
@@ -113,6 +117,7 @@ def run_trials(
     return TrialReport(
         dataset=ds.name,
         method=method,
+        lam=cfg.variance_weight,
         labels_per_class=labels_per_class,
         trials=trials,
         accuracies=tuple(accuracies),
@@ -136,30 +141,39 @@ def _cell(report: TrialReport) -> str:
 
 
 def emit_table(reports) -> str:
-    """Render TrialReports as a text table: rows are methods, columns
-    labels-per-class, cells percent "mean (std)" with one decimal."""
+    """Render TrialReports as a text table: rows are (method, lam) pairs,
+    columns labels-per-class, cells percent "mean (std)" with one decimal.
+    A method with one ``lam`` is labeled by its name alone, one with several
+    by its name and ``lam``."""
     reports = list(reports)
     if not reports:
         raise LayoutError("no reports to lay out")
 
-    methods = []
+    rows = []
     grid = {}
     for r in reports:
-        if r.method not in methods:
-            methods.append(r.method)
-        key = (r.method, r.labels_per_class)
-        if key in grid:
-            raise LayoutError(f"duplicate report for method={r.method} m={r.labels_per_class}")
-        grid[key] = r
-    columns = sorted(lp for (m, lp) in grid if m == methods[0])
-    for m in methods:
-        if sorted(lp for (mm, lp) in grid if mm == m) != columns:
+        row = (r.method, r.lam)
+        if row not in rows:
+            rows.append(row)
+        if (row, r.labels_per_class) in grid:
+            raise LayoutError(
+                f"duplicate report for method={r.method} lam={r.lam:g} m={r.labels_per_class}"
+            )
+        grid[(row, r.labels_per_class)] = r
+    columns = sorted(lp for row, lp in grid if row == rows[0])
+    for row in rows:
+        if sorted(lp for rr, lp in grid if rr == row) != columns:
             raise LayoutError("methods cover different labels-per-class sets")
 
+    lams = Counter(method for method, _ in rows)
     header = ["method"] + [str(c) for c in columns]
-    rows = [[m] + [_cell(grid[(m, c)]) for c in columns] for m in methods]
-    widths = [max(len(row[i]) for row in [header] + rows) for i in range(len(header))]
+    body = [
+        [method if lams[method] == 1 else f"{method} lam={lam:g}"]
+        + [_cell(grid[((method, lam), c)]) for c in columns]
+        for method, lam in rows
+    ]
+    widths = [max(len(row[i]) for row in [header] + body) for i in range(len(header))]
     lines = []
-    for row in [header] + rows:
+    for row in [header] + body:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
     return "\n".join(lines)

@@ -5,12 +5,14 @@ Exit codes: 0 success, 2 usage or file-format error, 3 ill-posed problem,
 any file is read: argparse checks each flag's form, and the subcommand
 builds its config before it reads.  Every JSON output echoes the flags it
 was produced with, except that ``bench`` leaves out ``--out``, so that
-reruns written to different paths are byte-identical.
+reruns written to different paths are byte-identical, and leaves out
+``--lambda`` under ``--lambda-frac``, which sets every lambda it runs.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .bench import emit_table, report_to_dict, run_trials
 from .continuum import (
@@ -42,6 +44,8 @@ from .errors import (
     InvalidParameterError,
     LayoutError,
     OracleSizeError,
+    checked_int,
+    checked_lam,
 )
 from .graph import build_knn_graph, objective_value
 from .solvers import METHODS, SolverConfig, estimate_stability_limit, predict, solve
@@ -82,12 +86,16 @@ _int, _float = _plain(int), _plain(float)
 
 def _positive_int(text):
     try:
-        value = _int(text)
+        return checked_int(_int(text), "value", low=1)
     except ValueError:
-        value = 0  # not an integer: rejected below
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from None
+
+
+def _fraction(text):
+    try:
+        return checked_lam(_float(text), "fraction")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
 
 
 def _method(text):
@@ -114,11 +122,12 @@ def _comma_list(item, name):
     return parse
 
 
-def _add_solver_options(p):
-    """--lambda, --tol and --max-iter, with the defaults of SolverConfig()."""
+def _add_solver_options(p, lam_group=None):
+    """--lambda (in ``lam_group`` if given), --tol and --max-iter, with the
+    defaults of SolverConfig()."""
     defaults = SolverConfig()
-    p.add_argument("--lambda", dest="lam", type=_float, default=defaults.lam,
-                   help=f"variance weight (default {defaults.lam:g})")
+    (lam_group or p).add_argument("--lambda", dest="lam", type=_float, default=defaults.lam,
+                                  help=f"variance weight (default {defaults.lam:g})")
     p.add_argument("--tol", type=_float, default=defaults.tol)
     p.add_argument("--max-iter", type=_positive_int, default=defaults.max_iter)
 
@@ -160,7 +169,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated labeled-node counts per class")
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=_int, default=0)
-    _add_solver_options(p)
+    lam = p.add_mutually_exclusive_group()
+    _add_solver_options(p, lam)
+    # absent from the parsed flags unless given: a run without it echoes no lambda_frac
+    lam.add_argument("--lambda-frac", type=_comma_list(_fraction, "lambda fraction"),
+                     default=argparse.SUPPRESS,
+                     help="comma-separated fractions F of the graph's lambda_2; "
+                          "v_laplace and v_poisson run once at each lambda = F * lambda_2")
     p.add_argument("--out", help="JSON report path")
     p.set_defaults(func=_cmd_bench)
 
@@ -226,22 +241,32 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = SolverConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter)
+    fractions = getattr(args, "lambda_frac", None)
     if args.dataset_features:
         ds = load_feature_dataset(args.dataset_features, args.dataset_labels)
         ds = with_knn_graph(ds, args.knn_k)
     else:
         ds = load_graph_dataset(args.dataset_graph, args.dataset_labels)
-    reports = [
-        run_trials(ds, method, m, args.trials, args.seed, cfg)
-        for method in args.methods
-        for m in args.labels_per_class
-    ]
+    configs, scale = [cfg], {}
+    if fractions:
+        lambda_2 = ds.graph._stability_limit
+        if lambda_2 == 0:
+            raise IllPosedError("--lambda-frac needs lambda_2 > 0; it is 0 on a disconnected graph")
+        scale = {"lambda_2": lambda_2}
+        configs = [replace(cfg, lam=f * lambda_2) for f in fractions]
+    reports = []
+    for method in args.methods:
+        # one run per variance weight: laplace and poisson run once, at 0
+        weights = {replace(c, method=method).variance_weight: c for c in configs}
+        reports += [run_trials(ds, method, m, args.trials, args.seed, c)
+                    for c in weights.values() for m in args.labels_per_class]
     print(emit_table(reports))
     if args.out:
         _write_json(args.out, {
             "dataset": ds.name,
-            "flags": _flags(args, "out"),
+            "flags": _flags(args, "out", *(("lam",) if fractions else ())),
             "reports": [report_to_dict(r) for r in reports],
+            **scale,
         })
     return EXIT_OK
 

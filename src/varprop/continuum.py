@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, checked_int
 from .graph import Graph, graph_from_edges
 
 __all__ = [
@@ -48,8 +48,7 @@ _MAX_PHASE_STEP = 2.0
 def _check_grid(n_grid: int, lam: float, refined: bool) -> None:
     """Raise InvalidParameterError unless ``n_grid`` points, and with ``refined``
     their refinement to 2*n_grid - 1, resolve cos(sqrt(lam) x) in double precision."""
-    if n_grid < 16:
-        raise InvalidParameterError("n_grid must be >= 16")
+    checked_int(n_grid, "n_grid", low=16)
     if not 0 < lam < math.inf:  # NaN fails too
         raise InvalidParameterError(f"lam must be finite and > 0, got {lam}")
     root = math.sqrt(lam)
@@ -72,10 +71,10 @@ def _check_grid(n_grid: int, lam: float, refined: bool) -> None:
 @dataclass(frozen=True)
 class ContinuumConfig:
     """Grid size and equation weight for the 1-D checks, which sample the
-    uniform density on [0, 1].  ``n_grid`` runs from 16, or from the
-    coarsest grid with sqrt(lam) * h <= 2 if that is larger, up to the
-    largest grid whose O(h^2) residual double precision resolves at this
-    ``lam``."""
+    uniform density on [0, 1].  ``n_grid`` is an integer, by
+    :func:`errors.checked_int`.  It runs from 16, or from the coarsest grid
+    with sqrt(lam) * h <= 2 if that is larger, up to the largest grid whose
+    O(h^2) residual double precision resolves at this ``lam``."""
 
     n_grid: int
     lam: float

@@ -11,7 +11,6 @@ exactly on any platform.
 """
 
 import itertools
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,8 +23,10 @@ from .errors import (
     InsufficientLabelsError,
     InvalidInputError,
     InvalidParameterError,
+    checked_int,
+    integer_array,
 )
-from .graph import Graph, LabelSet, _integers, build_knn_graph, graph_from_edges
+from .graph import Graph, LabelSet, build_knn_graph, graph_from_edges
 
 __all__ = [
     "Dataset",
@@ -58,14 +59,12 @@ def _mix64(z: int) -> int:
 def _stream(*words: int):
     """Deterministic uint64 stream keyed on ``words``: value(i) = mix(base + i * golden).
 
-    Every word must be an integer (numpy integers pass): a seed of 1.9
-    would otherwise key the stream of seed 1.
+    Every word passes :func:`errors.checked_int`, with no bound: a seed of
+    1.9 would otherwise key the stream of seed 1.
     """
     base = 0x243F6A8885A308D3
     for w in words:
-        if not isinstance(w, numbers.Integral):
-            raise InvalidParameterError(f"seeds must be integers, got {w!r}")
-        base = _mix64(base ^ _mix64(int(w)))
+        base = _mix64(base ^ _mix64(checked_int(w, "every seed word")))
     return (_mix64((base + i * _GOLDEN) & _MASK64) for i in itertools.count())
 
 
@@ -90,14 +89,13 @@ class Dataset:
     graph: Graph = None
 
     def __post_init__(self):
-        labels = _integers(self.true_labels, "true labels")
+        labels = integer_array(self.true_labels, "true labels")
         object.__setattr__(self, "true_labels", labels)
         if self.features is not None:
             object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
         if self.features is None and self.graph is None:
             raise InvalidInputError("dataset needs features or a graph")
-        if not isinstance(self.k, numbers.Integral) or self.k < 1:
-            raise InvalidParameterError(f"class count k must be >= 1 and an integer, got {self.k!r}")
+        checked_int(self.k, "class count k", low=1)
         if labels.size == 0:
             raise InvalidInputError("dataset has no samples")
         if labels.min() < 0 or labels.max() >= self.k:
@@ -350,13 +348,10 @@ def sample_label_set(ds: Dataset, labels_per_class: int, seed: int) -> LabelSet:
 
     Sampling is a partial Fisher-Yates shuffle driven by a counter-based
     generator keyed on (seed, class index); identical inputs give identical
-    label sets on every platform.
+    label sets on every platform.  ``labels_per_class`` is an integer >= 1,
+    by :func:`errors.checked_int`.
     """
-    if not isinstance(labels_per_class, numbers.Integral) or labels_per_class < 1:
-        raise InvalidParameterError(
-            f"labels_per_class must be >= 1 and an integer, got {labels_per_class!r}"
-        )
-    m = int(labels_per_class)
+    m = checked_int(labels_per_class, "labels_per_class", low=1)
     entries = []
     for c in range(ds.k):
         members = ds.class_members(c)

@@ -7,7 +7,6 @@ read and written by ``varprop.data``.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -15,7 +14,13 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import (
+    InvalidInputError,
+    InvalidParameterError,
+    checked_int,
+    checked_lam,
+    integer_array,
+)
 
 __all__ = [
     "Graph",
@@ -108,30 +113,27 @@ class Graph:
 class LabelSet:
     """Labeled nodes with one-hot targets.
 
-    ``entries`` are (node index, class index) pairs of integers; node
-    indices must be unique and class indices below ``k``.
+    ``entries`` are (node index, class index) pairs of integers, by
+    :func:`errors.checked_int`: node indices unique and >= 0, class indices
+    in [0, k).  A bad entry raises InvalidInputError.
     """
 
     k: int
     entries: tuple
 
     def __post_init__(self):
-        if not isinstance(self.k, numbers.Integral) or self.k < 1:
-            raise InvalidParameterError(f"class count k must be >= 1 and an integer, got {self.k!r}")
-        pairs = tuple(self.entries)
-        for i, c in pairs:
-            if not (isinstance(i, numbers.Integral) and isinstance(c, numbers.Integral)):
-                raise InvalidInputError(f"node and class indices must be integers, got ({i!r}, {c!r})")
-        pairs = tuple((int(i), int(c)) for i, c in pairs)
+        checked_int(self.k, "class count k", low=1)
+        try:
+            pairs = tuple((checked_int(i, "node index", low=0),
+                           checked_int(c, "class index", low=0, high=self.k))
+                          for i, c in self.entries)
+        except InvalidParameterError as exc:  # entries are input data, not parameters
+            raise InvalidInputError(str(exc)) from None
         if not pairs:
             raise InvalidInputError("at least one labeled node is required")
         nodes = [i for i, _ in pairs]
         if len(set(nodes)) != len(nodes):
             raise InvalidInputError("labeled node indices must be unique")
-        if min(nodes) < 0:
-            raise InvalidInputError("node indices must be nonnegative")
-        if any(c < 0 or c >= self.k for _, c in pairs):
-            raise InvalidInputError(f"class indices must lie in [0, {self.k})")
         object.__setattr__(self, "entries", pairs)
 
     @property
@@ -160,18 +162,17 @@ def graph_from_edges(n, src, dst, weight=None) -> Graph:
     copies of an edge, i->j and j->i alike, merge by their maximum weight.
     Zero-weight edges are dropped.  Endpoints without an integer dtype,
     negative or non-finite weights, self-loops and isolated nodes raise
-    InvalidInputError; a node count that is not a positive integer raises
-    InvalidParameterError.
+    InvalidInputError; a node count that is not a positive integer, by
+    :func:`errors.checked_int`, raises InvalidParameterError.
     """
-    src = _integers(src, "src").ravel()
-    dst = _integers(dst, "dst").ravel()
+    src = integer_array(src, "src").ravel()
+    dst = integer_array(dst, "dst").ravel()
     if weight is None:
         weight = np.ones(src.size)
     weight = np.asarray(weight, dtype=np.float64).ravel()
     if not (src.size == dst.size == weight.size):
         raise InvalidInputError("src, dst and weight arrays must have equal length")
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise InvalidParameterError(f"node count must be >= 1 and an integer, got {n!r}")
+    n = checked_int(n, "node count", low=1)
     if src.size == 0:
         raise InvalidInputError("at least one edge is required")
     if src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n:
@@ -207,14 +208,6 @@ def graph_from_edges(n, src, dst, weight=None) -> Graph:
         degrees=degrees,
         degree_weights=degrees / degrees.sum(),
     )
-
-
-def _integers(values, name) -> np.ndarray:
-    """``values`` as an int64 array; InvalidInputError unless they are empty or of an integer dtype."""
-    values = np.asarray(values)
-    if values.size and values.dtype.kind not in "iu":
-        raise InvalidInputError(f"{name} must have an integer dtype, got {values.dtype}")
-    return values.astype(np.int64, copy=False)
 
 
 def _directed_max(n, src, dst, weight) -> sparse.csr_array:
@@ -268,7 +261,8 @@ def build_knn_graph(features, k_neighbors) -> Graph:
     features : (n, d) array
         One row per point; must be finite.
     k_neighbors : int
-        Neighborhood size, 1 <= k_neighbors < n.
+        Neighborhood size, 1 <= k_neighbors < n, an integer by
+        :func:`errors.checked_int`.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim == 1:
@@ -280,11 +274,7 @@ def build_knn_graph(features, k_neighbors) -> Graph:
         raise InvalidParameterError("need at least 2 points to build a graph")
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("features contain NaN or Inf")
-    if not isinstance(k_neighbors, numbers.Integral) or not 1 <= k_neighbors < n:
-        raise InvalidParameterError(
-            f"k_neighbors must be an integer with 1 <= k < n, got k={k_neighbors!r} with n={n}"
-        )
-    k = int(k_neighbors)
+    k = checked_int(k_neighbors, "k_neighbors", low=1, high=n)
 
     nbr, nbr_dist = _nearest(X, k)
     sigma = nbr_dist[:, -1].copy()
@@ -488,10 +478,10 @@ def objective_value(g: Graph, u, lam: float) -> float:
 
     Computes the sum over ordered pairs (i, j) of w_ij * 0.5 * |u_i - u_j|^2
     minus ``lam`` times ``variance(g, u)``.  The pair sum equals
-    trace(u^T L u), which is how it is evaluated.
+    trace(u^T L u), which is how it is evaluated.  ``lam`` obeys
+    :func:`errors.checked_lam`.
     """
-    if not 0 <= lam < math.inf:  # NaN fails too
-        raise InvalidParameterError(f"lam must be finite and >= 0, got {lam}")
+    lam = checked_lam(lam)
     mat, _ = _label_matrix(g, u)
     smooth = float(np.sum(mat * laplacian_apply(g, mat)))
-    return smooth - float(lam) * variance(g, mat)
+    return smooth - lam * variance(g, mat)

@@ -131,8 +131,10 @@ class TestRunTrials:
         with pytest.raises(InvalidParameterError, match="trials must be >= 1"):
             run_trials(bridged_cliques(), "laplace", 1, trials=0, base_seed=0)
 
-    @pytest.mark.parametrize("labels_per_class,trials", [(1.5, 2), (1, 2.0), (np.nan, 2)],
-                             ids=["labels_per_class1.5", "trials2.0", "labels_per_class_nan"])
+    @pytest.mark.parametrize("labels_per_class,trials",
+                             [(1.5, 2), (1, 2.0), (np.nan, 2), (True, 2), (1, True)],
+                             ids=["labels_per_class1.5", "trials2.0", "labels_per_class_nan",
+                                  "labels_per_class_True", "trials_True"])
     def test_non_integer_counts_rejected(self, labels_per_class, trials):
         # 1.5 labels per class used to draw 1 and report 1.5
         with pytest.raises(InvalidParameterError, match="an integer"):
@@ -173,6 +175,23 @@ class TestRunTrials:
         assert round(100 * report.mean, 1) == accuracy
         assert round(100 * report.majority_share, 1) == share
 
+    def test_desk_cell_at_a_fraction_of_lambda_2(self, desk_dataset):
+        # the v_laplace row of the collapse table at 0.9 lambda_2: the
+        # variance term lifts accuracy and cuts the majority share
+        lam = 0.9 * desk_dataset.graph._stability_limit
+        report = run_trials(desk_dataset, "v_laplace", 1, trials=20, base_seed=11,
+                            cfg=SolverConfig(lam=lam))
+        assert report.failures == 0 and report.lam == lam
+        assert round(100 * report.mean, 1) == 24.6
+        assert round(100 * report.majority_share, 1) == 72.7
+
+    @pytest.mark.parametrize("method,lam", [("laplace", 0.0), ("poisson", 0.0),
+                                            ("v_laplace", 0.3), ("v_poisson", 0.3)])
+    def test_report_lam_is_the_variance_weight(self, method, lam):
+        report = run_trials(bridged_cliques(), method, 1, trials=2, base_seed=0,
+                            cfg=SolverConfig(lam=0.3))
+        assert report.lam == lam
+
     def test_vpl_threads_is_not_read(self, monkeypatch):
         ds = bridged_cliques()
         monkeypatch.delenv("VPL_THREADS", raising=False)
@@ -181,10 +200,11 @@ class TestRunTrials:
         assert run_trials(ds, "poisson", 1, trials=6, base_seed=8) == plain
 
 
-def report_fixture(method="poisson", m=1, mean=0.613, std=0.049):
+def report_fixture(method="poisson", m=1, mean=0.613, std=0.049, lam=0.0):
     return TrialReport(
         dataset="fixture",
         method=method,
+        lam=lam,
         labels_per_class=m,
         trials=2,
         accuracies=(mean - std, mean + std),
@@ -212,6 +232,23 @@ class TestEmitTable:
         assert lines[0].split() == ["method", "1", "2"]
         assert lines[1].startswith("laplace") and "17.0 (6.6)" in lines[1]
         assert lines[2].startswith("poisson") and "60.4 (4.7)" in lines[2]
+
+    def test_method_with_several_lams_labels_each_row(self):
+        reports = [
+            report_fixture("laplace", 1, 0.17, 0.066),
+            report_fixture("v_laplace", 1, 0.2, 0.05, lam=0.5),
+            report_fixture("v_laplace", 1, 0.3, 0.05, lam=1.25),
+        ]
+        lines = emit_table(reports).splitlines()
+        assert [line.split("  ")[0].rstrip() for line in lines] == [
+            "method", "laplace", "v_laplace lam=0.5", "v_laplace lam=1.25"]
+        assert "30.0 (5.0)" in lines[3]
+
+    def test_same_cell_at_two_lams_is_not_a_duplicate(self):
+        reports = [report_fixture(lam=0.5), report_fixture(lam=0.5), report_fixture(lam=1.0)]
+        with pytest.raises(LayoutError, match="duplicate"):
+            emit_table(reports)
+        assert len(emit_table(reports[1:]).splitlines()) == 3
 
     def test_empty_rejected(self):
         with pytest.raises(LayoutError):
@@ -242,6 +279,7 @@ class TestEmitTable:
             "dataset",
             "failures",
             "labels_per_class",
+            "lam",
             "majority_share",
             "mean",
             "method",

@@ -1,3 +1,4 @@
+import filecmp
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from varprop.errors import (
     OracleSizeError,
 )
 from varprop.graph import objective_value
-from varprop.solvers import SolverConfig, solve
+from varprop.solvers import SolverConfig, estimate_stability_limit, solve
 
 
 @pytest.fixture
@@ -293,6 +294,76 @@ class TestBench:
                      "--methods", "laplace", "--labels-per-class", "one", "--trials", "2"])
         assert code == 2
         capsys.readouterr()
+
+
+class TestLambdaFrac:
+    def bench_argv(self, bridged, *extra):
+        edges, labels = bridged
+        return ["bench", "--dataset-graph", str(edges), "--dataset-labels", str(labels),
+                "--methods", "laplace,v_laplace,v_poisson", "--labels-per-class", "1",
+                "--trials", "2", "--seed", "3", *extra]
+
+    def test_fractions_parse_as_a_list(self, bridged):
+        args = cli._build_parser().parse_args(self.bench_argv(bridged, "--lambda-frac", "0.5, 1,0"))
+        assert args.lambda_frac == [0.5, 1.0, 0.0]
+        # absent unless given, so that a run without the flag echoes no lambda_frac
+        assert not hasattr(cli._build_parser().parse_args(self.bench_argv(bridged)), "lambda_frac")
+
+    @pytest.mark.parametrize("extra", [
+        ["--lambda-frac", "-0.5"], ["--lambda-frac", "0.5,nan"], ["--lambda-frac", "inf"],
+        ["--lambda-frac", "0.5,abc"], ["--lambda-frac", ","],
+        ["--lambda", "0.1", "--lambda-frac", "0.5"], ["--lambda-frac", "0.5", "--lambda", "0.1"],
+    ], ids=["negative", "nan", "inf", "not_a_number", "empty", "lambda_first", "lambda_last"])
+    def test_bad_fraction_exits_2_before_any_file_is_read(self, extra, monkeypatch, capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a file was read before the flags were checked")
+
+        monkeypatch.setattr(cli, "load_graph_dataset", unexpected)
+        assert main(self.bench_argv(("g", "l"), *extra)) == 2
+        err = capsys.readouterr().err
+        assert "--lambda-frac" in err and "Traceback" not in err
+
+    def test_disconnected_graph_is_ill_posed(self, tmp_path, capsys):
+        edges = tmp_path / "two.edges"
+        edges.write_text("0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
+        labels = tmp_path / "two.labels"
+        labels.write_text("0\n0\n0\n1\n1\n1\n")
+        code = main(self.bench_argv((edges, labels), "--lambda-frac", "0.5"))
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "lambda_2" in captured.err and captured.out == ""
+
+    def test_lambda_is_the_fraction_of_lambda_2(self, bridged, tmp_path, capsys):
+        out = tmp_path / "frac.json"
+        assert main(self.bench_argv(bridged, "--lambda-frac", "0.5,0.8", "--out", str(out))) == 0
+        table = capsys.readouterr().out.splitlines()
+        doc = json.loads(out.read_text())
+        lambda_2 = estimate_stability_limit(read_edgelist(bridged[0]))
+        assert doc["lambda_2"] == lambda_2 > 0
+        assert doc["flags"]["lambda_frac"] == "0.5,0.8" and "lambda" not in doc["flags"]
+        assert [(r["method"], r["lam"]) for r in doc["reports"]] == [
+            ("laplace", 0.0),
+            ("v_laplace", 0.5 * lambda_2), ("v_laplace", 0.8 * lambda_2),
+            ("v_poisson", 0.5 * lambda_2), ("v_poisson", 0.8 * lambda_2),
+        ]
+        assert [line.split("  ")[0] for line in table[:3]] == [
+            "method", "laplace", f"v_laplace lam={0.5 * lambda_2:g}"]
+
+    def test_without_the_flag_no_lambda_2(self, bridged, tmp_path, capsys):
+        out = tmp_path / "plain.json"
+        assert main(self.bench_argv(bridged, "--out", str(out))) == 0
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        assert sorted(doc) == ["dataset", "flags", "reports"]
+        assert [r["lam"] for r in doc["reports"]] == [0.0, 0.1, 0.1]
+
+    def test_rerun_json_byte_identical(self, bridged, tmp_path, capsys):
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        argv = self.bench_argv(bridged, "--lambda-frac", "0.5,0.8")
+        assert main(argv + ["--out", str(out1)]) == 0
+        assert main(argv + ["--out", str(out2)]) == 0
+        capsys.readouterr()
+        assert filecmp.cmp(out1, out2, shallow=False)
 
 
 class TestFlags:

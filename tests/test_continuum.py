@@ -27,6 +27,15 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match="finite"):
             ContinuumConfig(n_grid=64, lam=lam)
 
+    @pytest.mark.parametrize("n_grid", [16.5, 20.0, True])
+    def test_non_integer_grid_rejected(self, n_grid):
+        # 16.5 and 20.0 used to be accepted, and True to read as a grid of 1
+        with pytest.raises(InvalidParameterError, match="an integer"):
+            ContinuumConfig(n_grid=n_grid, lam=4)
+
+    def test_numpy_integer_grid_accepted(self):
+        assert ContinuumConfig(n_grid=np.int64(20), lam=4).n_grid == 20
+
     @pytest.mark.parametrize(
         "n_grid,lam,largest", [(511, 0.01, 262), (1023, 0.1, 828), (5999, 4.0, 4402)]
     )

@@ -407,21 +407,23 @@ class TestSampler:
         with pytest.raises(InvalidParameterError, match="labels_per_class must be >= 1"):
             sample_label_set(make_dataset([0, 0, 1, 1]), 0, seed=0)
 
-    @pytest.mark.parametrize("m", [1.5, 1.0, np.nan, "1"])
+    @pytest.mark.parametrize("m", [1.5, 1.0, np.nan, "1", True])
     def test_non_integer_labels_per_class_rejected(self, m):
         with pytest.raises(InvalidParameterError, match="an integer"):
             sample_label_set(make_dataset([0, 0, 1, 1]), m, seed=0)
 
-    @pytest.mark.parametrize("seed", [1.9, 1.0, "1"])
+    @pytest.mark.parametrize("seed", [1.9, 1.0, "1", True])
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(InvalidParameterError, match="integers"):
             sample_label_set(make_dataset([0, 0, 1, 1]), 1, seed=seed)
 
-    @pytest.mark.parametrize("word", ["base_seed", "trial_index"])
-    def test_non_integer_trial_seed_words_rejected(self, word):
+    @pytest.mark.parametrize("word,value", [("base_seed", 1.9), ("trial_index", 1.9),
+                                            ("base_seed", True), ("trial_index", True)],
+                             ids=["base_seed", "trial_index", "base_seed_True", "trial_index_True"])
+    def test_non_integer_trial_seed_words_rejected(self, word, value):
         # truncated, derive_trial_seed(1.9, 0) would be derive_trial_seed(1, 0)
         args = {"base_seed": 1, "trial_index": 0}
-        args[word] = 1.9
+        args[word] = value
         with pytest.raises(InvalidParameterError, match="integers"):
             derive_trial_seed(**args)
 
@@ -487,7 +489,7 @@ class TestDatasetValidation:
             Dataset(name="x", k=k, true_labels=np.array(labels, dtype=np.int64),
                     features=np.zeros((rows, 1)))
 
-    @pytest.mark.parametrize("k", [10.0, 2.5, np.nan])
+    @pytest.mark.parametrize("k", [10.0, 2.5, np.nan, True])
     def test_non_integer_class_count_rejected(self, k):
         with pytest.raises(InvalidParameterError, match="an integer"):
             Dataset(name="x", k=k, true_labels=np.array([0, 1]), features=np.zeros((2, 1)))

@@ -214,7 +214,7 @@ class TestKnnConstruction:
         with pytest.raises(InvalidParameterError):
             build_knn_graph(np.zeros((3, 2)), 3)
 
-    @pytest.mark.parametrize("k", [2.5, 2.0, np.nan])
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.nan, True])
     def test_non_integer_k_rejected(self, k):
         # 2.5 used to build the k = 2 graph, and NaN to fail with a bare ValueError
         with pytest.raises(InvalidParameterError, match="an integer"):
@@ -339,7 +339,7 @@ class TestGraphValidation:
         with pytest.raises(InvalidInputError, match="integer dtype"):
             graph_from_edges(3, src, dst)
 
-    @pytest.mark.parametrize("n", [3.5, 3.0, np.nan])
+    @pytest.mark.parametrize("n", [3.5, 3.0, np.nan, True])
     def test_non_integer_node_count_rejected(self, n):
         with pytest.raises(InvalidParameterError, match="an integer"):
             graph_from_edges(n, [0, 1], [1, 2])
@@ -603,13 +603,14 @@ class TestLabelSet:
         with pytest.raises(InvalidParameterError, match="k must be >= 1"):
             LabelSet(k=0, entries=((0, 0),))
 
-    @pytest.mark.parametrize("k", [2.5, 2.0, np.nan])
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.nan, True])
     def test_non_integer_class_count_rejected(self, k):
         with pytest.raises(InvalidParameterError, match="an integer"):
             LabelSet(k=k, entries=((0, 0),))
 
-    @pytest.mark.parametrize("entries", [((1.5, 0), (3, 1)), ((1, 0), (3, 1.9)), ((1.0, 0),)],
-                             ids=["node1.5", "class1.9", "node1.0"])
+    @pytest.mark.parametrize("entries", [((1.5, 0), (3, 1)), ((1, 0), (3, 1.9)), ((1.0, 0),),
+                                         ((True, 0), (3, 1))],
+                             ids=["node1.5", "class1.9", "node1.0", "node_True"])
     def test_non_integer_indices_rejected(self, entries):
         # truncated, ((1.5, 0), (3, 1.9)) would be the valid ((1, 0), (3, 1))
         with pytest.raises(InvalidInputError, match="integers"):
@@ -620,5 +621,5 @@ class TestLabelSet:
         assert ls.entries == ((1, 0), (3, 1))
 
     def test_negative_node_rejected(self):
-        with pytest.raises(InvalidInputError, match="nonnegative"):
+        with pytest.raises(InvalidInputError, match="node index must be >= 0"):
             LabelSet(k=2, entries=((-1, 0), (2, 1)))

@@ -58,6 +58,8 @@ class TestConfig:
             dict(tol=float("nan")), dict(tol=float("inf")),
             # below what double precision can reach
             dict(tol=1e-17), dict(tol=0.5 * np.finfo(float).eps),
+            # a bool is not a count or a weight, though Python counts it as 1
+            dict(max_iter=True), dict(lam=True),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
