@@ -98,6 +98,7 @@ def run_trials(
     if ds.graph is None:
         raise InvalidParameterError("dataset has no graph; attach one with with_knn_graph")
     trials = checked_int(trials, "trials", low=1)
+    labels_per_class = checked_int(labels_per_class, "labels_per_class", low=1)
     cfg = replace(cfg or SolverConfig(), method=method)
     seeds = tuple(derive_trial_seed(base_seed, t) for t in range(trials))
 

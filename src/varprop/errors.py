@@ -62,10 +62,11 @@ def checked_int(value, name, low=None, high=None) -> int:
 
 
 def checked_lam(value, name="lam") -> float:
-    """``value`` as a float; InvalidParameterError unless it is finite and
-    >= 0 and not a bool.  The variance weight of every solve, objective and
+    """``value`` as a float; InvalidParameterError unless it is a real
+    number (a ``numbers.Real``, numpy floats included), finite, >= 0 and not
+    a bool.  The variance weight of every solve, objective and
     ``bench --lambda-frac`` fraction obeys it."""
-    if isinstance(value, bool) or not 0 <= value < np.inf:  # NaN fails too
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 <= value < np.inf):
         raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")
     return float(value)
 

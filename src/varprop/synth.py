@@ -12,7 +12,7 @@ the same sizes returns the same data.
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, checked_int
 
 __all__ = ["make_cluster_dataset"]
 
@@ -41,9 +41,11 @@ def make_cluster_dataset(n_samples: int = 2000, n_classes: int = 10):
     prototype with a second one (mixing weight drawn in [0.55, 0.8], so
     the original class stays dominant) to create inter-cluster bridges.
     The random stream is seeded with 20240501.  Raises
-    InvalidParameterError unless ``n_classes >= 2`` and ``n_samples`` is a
+    InvalidParameterError unless both counts are integers, by
+    :func:`errors.checked_int`, ``n_classes >= 2`` and ``n_samples`` is a
     positive multiple of ``n_classes``.
     """
+    n_samples, n_classes = checked_int(n_samples, "n_samples"), checked_int(n_classes, "n_classes")
     if n_classes < 2 or n_samples < n_classes or n_samples % n_classes:
         raise InvalidParameterError(
             "n_samples must be a positive multiple of n_classes >= 2, "

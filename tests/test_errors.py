@@ -39,7 +39,11 @@ class TestCheckedLam:
         out = checked_lam(value)
         assert out == float(value) and type(out) is float
 
-    @pytest.mark.parametrize("value", [True, False, -0.1, -math.inf, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "value",
+        # a string or None used to raise a bare TypeError from the comparison
+        [True, False, np.bool_(True), -0.1, -math.inf, math.inf, math.nan, "0.1", None],
+    )
     def test_others_rejected(self, value):
         with pytest.raises(InvalidParameterError, match="^lam must be finite and >= 0"):
             checked_lam(value)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from varprop import Dataset, SolverConfig, make_cluster_dataset, run_trials, with_knn_graph
@@ -73,3 +74,17 @@ class TestSyntheticPixels:
     def test_generator_rejects_bad_sizes(self, n_samples, n_classes):
         with pytest.raises(InvalidParameterError, match="positive multiple"):
             make_cluster_dataset(n_samples=n_samples, n_classes=n_classes)
+
+    @pytest.mark.parametrize("n_samples,n_classes",
+                             [(20.0, 2), (True, 2), ("20", 2), (20, 2.0), (20, True), (20, None)],
+                             ids=["samples20.0", "samples_True", "samples_str", "classes2.0",
+                                  "classes_True", "classes_None"])
+    def test_generator_rejects_non_integer_sizes(self, n_samples, n_classes):
+        # 20.0 used to raise a bare TypeError from numpy, and True to pass as 1
+        with pytest.raises(InvalidParameterError, match="an integer"):
+            make_cluster_dataset(n_samples=n_samples, n_classes=n_classes)
+
+    def test_generator_accepts_numpy_integer_sizes(self):
+        X, y = make_cluster_dataset(np.int64(20), np.int32(2))
+        X0, y0 = make_cluster_dataset(20, 2)
+        assert np.array_equal(X, X0) and np.array_equal(y, y0)
