@@ -3,9 +3,8 @@
 Build a sparse similarity graph (or load one), clamp or source a handful
 of labeled nodes, and propagate: ``laplace``, ``poisson``, and their
 variance-regularized counterparts ``v_laplace`` and ``v_poisson``.
-Includes a dense reference solver, a 1-D discretization consistency
-checker, dataset loaders, a seeded benchmark harness, and a CLI
-(``varprop``).
+Includes a 1-D discretization consistency checker, dataset loaders, a
+seeded benchmark harness, and a CLI (``varprop``).
 """
 
 from .bench import TrialReport, accuracy_on_unlabeled, emit_table, run_trials
@@ -43,7 +42,6 @@ from .solvers import (
     METHODS,
     SolveResult,
     SolverConfig,
-    dense_oracle_solve,
     estimate_stability_limit,
     predict,
     solve,
@@ -66,7 +64,6 @@ __all__ = [
     "TrialReport",
     "accuracy_on_unlabeled",
     "build_knn_graph",
-    "dense_oracle_solve",
     "derive_trial_seed",
     "discrete_vs_continuum",
     "emit_table",

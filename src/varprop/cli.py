@@ -43,7 +43,6 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     LayoutError,
-    OracleSizeError,
     checked_int,
     checked_lam,
 )
@@ -63,7 +62,6 @@ _EXIT_CODES = {
     InvalidParameterError: EXIT_USAGE,
     InsufficientLabelsError: EXIT_USAGE,
     LayoutError: EXIT_USAGE,
-    OracleSizeError: EXIT_USAGE,
     OSError: EXIT_USAGE,
     IllPosedError: EXIT_ILL_POSED,
     DivergenceError: EXIT_DIVERGENCE,

@@ -30,10 +30,6 @@ class DivergenceError(RuntimeError):
     """Iteration diverged; typically the variance weight exceeds the stability bound."""
 
 
-class OracleSizeError(ValueError):
-    """Problem too large for the dense reference solver."""
-
-
 class InsufficientLabelsError(ValueError):
     """A class has fewer members than the requested labels per class."""
 

@@ -1,9 +1,8 @@
-"""The four label-propagation solvers and their dense reference counterpart.
+"""The four label-propagation solvers.
 
-``solve`` runs the method that ``SolverConfig.method`` names, and
-``dense_oracle_solve`` is its dense reference.  Both take a Graph, a
-LabelSet and a SolverConfig and return a SolveResult whose ``u`` is the
-(n, k) label-score matrix.
+``solve`` runs the method that ``SolverConfig.method`` names: it takes a
+Graph, a LabelSet and a SolverConfig and returns a SolveResult whose ``u``
+is the (n, k) label-score matrix.
 
 ``laplace``    clamps labeled nodes to their one-hot targets and makes u
                harmonic (Lu = 0) at every unlabeled node.
@@ -37,9 +36,8 @@ the constrained one, so no projection is needed: for lam up to lambda_2 it
 is positive semidefinite with null space 1, every source lies in its
 range, and the q-mean is removed from the answer once.  The class columns
 of u sum to a known vector (1 on free nodes for the clamped family, 0 for
-the poisson family), so only the first k - 1 are solved.  ``solve`` runs
-one block PCG on them, and ``dense_oracle_solve`` densifies the same
-operator.  The columns share one block Krylov space, which takes in the
+the poisson family), so only the first k - 1 are solved, by one block
+PCG.  The columns share one block Krylov space, which takes in the
 graph's slow cluster modes for every class together.  The preconditioner
 is a degree-1 polynomial in the Jacobi-scaled operator B = D^-1 A,
 M^-1 = D^-1 (s - A D^-1), with s 1.05 times a Gershgorin bound on the
@@ -79,7 +77,6 @@ from .errors import (
     IllPosedError,
     InvalidInputError,
     InvalidParameterError,
-    OracleSizeError,
     checked_int,
     checked_lam,
 )
@@ -90,14 +87,11 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "solve",
-    "dense_oracle_solve",
     "predict",
     "estimate_stability_limit",
 ]
 
 METHODS = ("laplace", "poisson", "v_laplace", "v_poisson")
-
-_ORACLE_MAX_NODES = 500
 
 # estimate_stability_limit stops once its lowest Ritz pair's residual bound is
 # this fraction of the Ritz value; it checks that at this step, then every
@@ -142,7 +136,7 @@ class SolveResult:
 
     ``u`` is the (n, k) score matrix.  ``iterations`` is the number of
     block PCG steps on the one linear system the method solves, shared by
-    its columns (0 for the trivial cases and for ``dense_oracle_solve``).
+    its columns (0 for the trivial cases).
     Each step applies the operator twice: once to the search block and
     once in the preconditioner.  The system has the first k - 1 class
     columns only: the last column of ``u`` is recovered from the known row
@@ -194,7 +188,9 @@ def _pcg(matvec, precondition, b, tol, max_iter, centered=False):
     plain CG.  ``A`` may be positive semidefinite when ``b`` lies in its
     range (Kaasschieter 1988): ``G`` and ``W^T R`` do not see the
     null-space parts of ``W``, which reach only ``X``.  The preconditioner
-    must be symmetric positive definite on the space that ``R`` spans.
+    must be symmetric positive definite on the space that ``R`` spans, and
+    ``b`` must be nonzero: ``solve`` returns trivial systems before it
+    calls ``_pcg``.
 
     With ``centered`` the operator's null space is 1, as for the poisson
     family.  Each new block then loses its part along 1 and, if it has
@@ -227,8 +223,6 @@ def _pcg(matvec, precondition, b, tol, max_iter, centered=False):
     bnorm = float(np.linalg.norm(b))
     # C order whatever the layout of b, so that _addmul updates in place
     x = np.zeros(b.shape)
-    if bnorm == 0.0:
-        return x, 0, 0.0, True
     r = np.array(b, order="C")
     ones = np.ones((b.shape[0], 1))  # the null space when centered
 
@@ -463,7 +457,7 @@ def _assemble(g: Graph, labels: LabelSet, cfg: SolverConfig) -> _System:
     if lam > 0 or labeled is not None:
         A = sparse.csr_array((values, L.indices, L.indptr), shape=L.shape)
     # off the diagonal |A_ij| <= w_ij + lam c_i c_j; D <= 0 is rejected by
-    # solve before M is used, and dense_oracle_solve does not use it
+    # solve before M is used
     with np.errstate(all="ignore"):
         shift = 1.05 * float(np.max(1.0 + (g.degrees + lam * c * (c.sum() - c)) / diagonal))
         m = -A.data / (np.repeat(diagonal, counts) * diagonal[L.indices])
@@ -529,40 +523,3 @@ def predict(u) -> np.ndarray:
     if arr.ndim != 2 or arr.size == 0:
         raise InvalidInputError("need a nonempty (n, k) score matrix")
     return np.argmax(arr, axis=1)
-
-
-def dense_oracle_solve(g: Graph, labels: LabelSet, cfg: SolverConfig) -> SolveResult:
-    """Dense-factorization reference solver for tests and verification.
-
-    Assembles the same system as ``solve``, densifies its operator through
-    the system's own matvec and factors it with numpy.linalg.solve: the
-    labeled rows of the clamped family are decoupled as identity rows, and
-    the poisson family is bordered by the zero-mean constraint.
-    ``final_residual`` is measured with the same matvec.  It never warns
-    about stability and never raises DivergenceError; a singular system
-    raises IllPosedError.  Capped at 500 nodes.
-    """
-    if g.n > _ORACLE_MAX_NODES:
-        raise OracleSizeError(
-            f"dense oracle is capped at {_ORACLE_MAX_NODES} nodes, got {g.n}"
-        )
-    system = _assemble(g, labels, cfg)
-    if system.trivial:
-        return system.result(np.zeros_like(system.rhs), 0, 0.0, True)
-    rhs, il = system.rhs, system.labeled
-    P = np.eye(g.n)
-    if il is None:
-        q = system.c[:, None]
-        M = np.block([[system.matvec(P), q], [q.T, np.zeros((1, 1))]])
-        rhs = np.vstack([rhs, np.zeros((1, rhs.shape[1]))])
-    else:
-        P[il, il] = 0.0
-        M = system.matvec(P)
-        M[il, il] = 1.0  # rhs and x are zero at the labeled rows
-    try:
-        x = np.linalg.solve(M, rhs)[: g.n]
-    except np.linalg.LinAlgError as exc:
-        raise IllPosedError(f"{cfg.method} system is singular: {exc}") from exc
-    resid = system.rhs - system.matvec(x)
-    rel = float(np.linalg.norm(resid)) / float(np.linalg.norm(system.rhs))
-    return system.result(x, 0, rel, True)

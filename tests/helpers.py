@@ -1,4 +1,4 @@
-"""Shared fixtures: seeded random graphs, label draws, and brute-force oracles."""
+"""Shared fixtures: seeded random graphs, label draws, and brute-force and dense references."""
 
 import numpy as np
 
@@ -61,3 +61,38 @@ def brute_force_objective(g: Graph, u, lam) -> float:
     ubar = q @ u
     var = float(q @ np.einsum("ij,ij->i", u - ubar, u - ubar))
     return smooth - lam * var
+
+
+def dense_reference(g: Graph, labels: LabelSet, method, lam) -> np.ndarray:
+    """The (n, k) scores of ``method`` from its defining equations, by a dense solve.
+
+    Built from ``g.adjacency`` alone, as L = D - W with q = d / sum(d), and
+    all k class columns are solved.  ``lam`` weighs the variance term of
+    the v_* methods and is ignored by laplace and poisson.  The clamped
+    family fixes u = y on the labeled rows and solves the stationarity
+    L_uu u - lam q_u (u - ubar) = -L_ul y with ubar = q_u^T u + q_l^T y,
+
+        (L_uu - lam diag q_u + lam q_u q_u^T) u_u = -L_ul y - lam q_u (q_l^T y).
+
+    The poisson family solves (L - lam diag q) u = s under q^T u = 0, as
+    the bordered system [[L - lam diag q, q], [q^T, 0]], with s = y - ybar
+    on the labeled rows and 0 elsewhere.
+    """
+    W = g.adjacency.toarray()
+    d = W.sum(axis=1)
+    L, q = np.diag(d) - W, d / d.sum()
+    lam = lam if method in ("v_laplace", "v_poisson") else 0.0
+    il, y = labels.nodes, labels.onehot_matrix()
+    if method in ("laplace", "v_laplace"):
+        iu = np.setdiff1d(np.arange(g.n), il)
+        qu = q[iu]
+        A = L[np.ix_(iu, iu)] - lam * np.diag(qu) + lam * np.outer(qu, qu)
+        b = -L[np.ix_(iu, il)] @ y - lam * np.outer(qu, q[il] @ y)
+        u = np.zeros((g.n, labels.k))
+        u[il] = y
+        u[iu] = np.linalg.solve(A, b)
+        return u
+    bordered = np.block([[L - lam * np.diag(q), q[:, None]], [q[None, :], np.zeros((1, 1))]])
+    source = np.zeros((g.n + 1, labels.k))
+    source[il] = y - y.mean(axis=0)
+    return np.linalg.solve(bordered, source)[: g.n]

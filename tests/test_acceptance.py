@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
-from helpers import random_connected_graph, random_label_set
+from helpers import dense_reference, random_connected_graph, random_label_set
 from varprop import (
     ContinuumConfig,
     Dataset,
     METHODS,
     SolverConfig,
     build_knn_graph,
-    dense_oracle_solve,
     discrete_vs_continuum,
     laplacian_apply,
     make_cluster_dataset,
@@ -46,7 +45,7 @@ def oracle_suite():
 
 @pytest.fixture(scope="module")
 def suite_solutions():
-    """Iterative and oracle solutions for every method over the 50-graph suite."""
+    """Iterative and dense reference solutions for every method over the 50-graph suite."""
     t0 = time.perf_counter()
     solutions = []
     with warnings.catch_warnings():
@@ -55,7 +54,7 @@ def suite_solutions():
             per_method = {}
             for method in METHODS:
                 cfg = SolverConfig(lam=lam, method=method)
-                per_method[method] = (solve(g, labels, cfg), dense_oracle_solve(g, labels, cfg))
+                per_method[method] = (solve(g, labels, cfg), dense_reference(g, labels, method, lam))
             solutions.append((g, labels, lam, per_method))
     return solutions, time.perf_counter() - t0
 
@@ -64,9 +63,9 @@ def test_oracle_equivalence(suite_solutions):
     solutions, elapsed = suite_solutions
     worst = 0.0
     for _, _, _, per_method in solutions:
-        for method, (iterative, oracle) in per_method.items():
+        for method, (iterative, reference) in per_method.items():
             assert iterative.converged, method
-            worst = max(worst, float(np.abs(iterative.u - oracle.u).max()))
+            worst = max(worst, float(np.abs(iterative.u - reference).max()))
     assert worst <= 1e-6
     assert elapsed < 10.0
     print(f"\nPASS: oracle equivalence, 50 graphs x 4 methods, "
@@ -126,9 +125,9 @@ def test_conservation(suite_solutions):
         source_sum = np.abs((y - y.mean(axis=0)).sum(axis=0)).max()
         worst_source = max(worst_source, float(source_sum))
         for method in ("poisson", "v_poisson"):
-            iterative, oracle = per_method[method]
-            for result in (iterative, oracle):
-                worst_mean = max(worst_mean, float(np.abs(weighted_mean(g, result.u)).max()))
+            iterative, reference = per_method[method]
+            for u in (iterative.u, reference):
+                worst_mean = max(worst_mean, float(np.abs(weighted_mean(g, u)).max()))
     assert worst_source <= 1e-12
     assert worst_mean <= 1e-8
     print(f"\nPASS: conservation, source zero-sum = {worst_source:.2e} <= 1e-12, "

@@ -22,7 +22,6 @@ from varprop.errors import (
     InvalidInputError,
     InvalidParameterError,
     LayoutError,
-    OracleSizeError,
 )
 from varprop.graph import objective_value
 from varprop.solvers import SolverConfig, estimate_stability_limit, solve
@@ -456,7 +455,7 @@ class TestFlags:
 class TestExitCodes:
     @pytest.mark.parametrize("exc,code", [
         (FormatError, 2), (InvalidInputError, 2), (InvalidParameterError, 2),
-        (InsufficientLabelsError, 2), (LayoutError, 2), (OracleSizeError, 2),
+        (InsufficientLabelsError, 2), (LayoutError, 2),
         (FileNotFoundError, 2), (IllPosedError, 3), (DivergenceError, 4),
     ])
     def test_listed_exception_maps_to_its_code(self, exc, code, monkeypatch, capsys):

@@ -264,7 +264,7 @@ def test_public_names_pinned():
     assert sorted(varprop.__all__) == [
         "ContinuumConfig", "Dataset", "Graph", "LabelSet", "METHODS", "PathGraphReport",
         "RefinementReport", "ResidualStats", "SolveResult", "SolverConfig", "TrialReport",
-        "accuracy_on_unlabeled", "build_knn_graph", "dense_oracle_solve", "derive_trial_seed",
+        "accuracy_on_unlabeled", "build_knn_graph", "derive_trial_seed",
         "discrete_vs_continuum", "emit_table", "estimate_stability_limit", "graph_from_edges",
         "laplacian_apply", "load_feature_dataset", "load_graph_dataset", "make_cluster_dataset",
         "objective_value", "ode_residual_check", "predict", "read_edgelist",
