@@ -3,21 +3,12 @@
 Build a sparse similarity graph (or load one), clamp or source a handful
 of labeled nodes, and propagate: ``laplace``, ``poisson``, and their
 variance-regularized counterparts ``v_laplace`` and ``v_poisson``.
-Includes a 1-D discretization consistency checker, dataset loaders, a
-seeded benchmark harness, and a CLI (``varprop``).
+Includes closed-form checks of the solvers on the path graph, dataset
+loaders, a seeded benchmark harness, and a CLI (``varprop``).
 """
 
 from .bench import TrialReport, accuracy_on_unlabeled, emit_table, run_trials
-from .continuum import (
-    ContinuumConfig,
-    PathGraphReport,
-    RefinementReport,
-    ResidualStats,
-    discrete_vs_continuum,
-    ode_residual_check,
-    residual_refinement_ratio,
-    second_difference,
-)
+from .continuum import PathGraphReport, discrete_vs_continuum
 from .data import (
     Dataset,
     derive_trial_seed,
@@ -52,13 +43,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "METHODS",
-    "ContinuumConfig",
     "Dataset",
     "Graph",
     "LabelSet",
     "PathGraphReport",
-    "RefinementReport",
-    "ResidualStats",
     "SolveResult",
     "SolverConfig",
     "TrialReport",
@@ -74,13 +62,10 @@ __all__ = [
     "load_graph_dataset",
     "make_cluster_dataset",
     "objective_value",
-    "ode_residual_check",
     "predict",
     "read_edgelist",
-    "residual_refinement_ratio",
     "run_trials",
     "sample_label_set",
-    "second_difference",
     "solve",
     "variance",
     "weighted_mean",

@@ -1,12 +1,16 @@
 """Command-line front end: build-graph, solve, bench, and verify-pde subcommands.
 
+``verify-pde --grid N`` checks the four solvers and the pencil (L, diag q)
+against their closed forms on the N-node path graph (see ``continuum``).
+
 Exit codes: 0 success, 2 usage or file-format error, 3 ill-posed problem,
-4 divergence, 5 verification failure.  Every flag value is checked before
-any file is read: argparse checks each flag's form, and the subcommand
-builds its config before it reads.  Every JSON output echoes the flags it
-was produced with, except that ``bench`` leaves out ``--out``, so that
-reruns written to different paths are byte-identical, and leaves out
-``--lambda`` under ``--lambda-frac``, which sets every lambda it runs.
+4 divergence or no convergence within ``--max-iter``, 5 verification
+failure.  Every flag value is checked before any file is read: argparse
+checks each flag's form, and the subcommand builds its config before it
+reads.  Every JSON output echoes the flags it was produced with, except
+that ``bench`` leaves out ``--out``, so that reruns written to different
+paths are byte-identical, and leaves out ``--lambda`` under
+``--lambda-frac``, which sets every lambda it runs.
 """
 
 import argparse
@@ -15,15 +19,7 @@ import sys
 from dataclasses import replace
 
 from .bench import emit_table, report_to_dict, run_trials
-from .continuum import (
-    ContinuumConfig,
-    discrete_vs_continuum,
-    format_report,
-    path_graph,
-    path_graph_shift,
-    residual_refinement_ratio,
-    write_residual_csv,
-)
+from .continuum import closed_form_checks, discrete_vs_continuum, path_graph, path_graph_shift
 from .data import (
     load_feature_dataset,
     load_graph_dataset,
@@ -177,11 +173,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="JSON report path")
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("verify-pde", help="1-D discretization consistency checks")
-    p.add_argument("--lambda", dest="lam", type=_float, required=True)
-    p.add_argument("--grid", type=_int, required=True,
-                   help="grid points, at least 16; refined to 2*GRID-1, which --lambda bounds")
-    p.add_argument("--csv", help="optional CSV of (x, value, residual)")
+    p = sub.add_parser("verify-pde",
+                       help="check the solvers and the pencil against their path-graph closed forms")
+    p.add_argument("--grid", type=_int, required=True, help="path-graph nodes, 16 to 2201")
     p.set_defaults(func=_cmd_verify_pde)
 
     return parser
@@ -234,6 +228,9 @@ def _cmd_solve(args) -> int:
         f"method={args.method} converged={result.converged} "
         f"iterations={result.iterations} residual={result.final_residual:.3g}"
     )
+    if not result.converged:  # after the outputs, which record the last iterate
+        raise DivergenceError(f"{args.method} did not converge in {result.iterations} block "
+                              f"steps (residual {result.final_residual:.3g})")
     return EXIT_OK
 
 
@@ -269,19 +266,31 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _listed(fractions) -> str:
+    """Fractions of lambda_2 as '0.9, 0.99', or 'none'."""
+    return ", ".join(f"{f:g}" for f in fractions) or "none"
+
+
 def _cmd_verify_pde(args) -> int:
-    cfg = ContinuumConfig.refinable(args.grid, args.lam)
-    refinement = residual_refinement_ratio(cfg)
-    path_report = discrete_vs_continuum(cfg)
-    print(format_report(refinement, path_report))
-    if args.csv:
-        write_residual_csv(cfg, args.csv)
-    closed = path_graph_shift(cfg.n_grid)
-    estimate = estimate_stability_limit(path_graph(cfg.n_grid))
+    n = args.grid
+    path_report = discrete_vs_continuum(n)
+    print(f"path graph    n={n} shift={path_report.shift:.6g} "
+          f"fitted_lambda={path_report.fitted_lambda:.6g} "
+          f"correlation={path_report.correlation:.8f}")
+    verdicts = []
+    for check in closed_form_checks(n):
+        # solve's near-bound warning: v_poisson at 0.9 lambda_2 and above
+        expected = tuple(f for f in check.fractions if check.method == "v_poisson" and f >= 0.9)
+        at = f" at {_listed(check.fractions)} lambda_2" if any(check.fractions) else ""
+        verdicts.append((check.error <= 1e-8 and check.warned == expected,
+                         f"{check.method}{at} = closed form to relative {check.error:.1e} "
+                         f"<= 1e-8; warned at {_listed(check.warned)}, "
+                         f"expect {_listed(expected)}"))
+    closed = path_graph_shift(n)
+    estimate = estimate_stability_limit(path_graph(n))
     shift_err = abs(path_report.shift - closed) / closed
     estimate_err = abs(estimate - path_report.shift) / estimate
-    verdicts = [
-        (3.5 <= refinement.ratio <= 4.5, f"refinement ratio {refinement.ratio:.4f} in [3.5, 4.5]"),
+    verdicts += [
         (path_report.correlation >= 0.999,
          f"sinusoid correlation {path_report.correlation:.8f} >= 0.999"),
         (shift_err <= 1e-8,

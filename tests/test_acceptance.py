@@ -13,7 +13,6 @@ from scipy.sparse import csgraph
 
 from helpers import dense_reference, random_connected_graph, random_label_set
 from varprop import (
-    ContinuumConfig,
     Dataset,
     METHODS,
     SolverConfig,
@@ -22,12 +21,12 @@ from varprop import (
     laplacian_apply,
     make_cluster_dataset,
     objective_value,
-    residual_refinement_ratio,
     run_trials,
     solve,
     weighted_mean,
 )
 from varprop.cli import main
+from varprop.continuum import closed_form_checks
 
 
 def oracle_suite():
@@ -167,14 +166,14 @@ def test_objective_dominance(lam):
 
 def test_continuum_consistency():
     t0 = time.perf_counter()
-    refinement = residual_refinement_ratio(ContinuumConfig(n_grid=64, lam=4.0))
-    assert 3.5 <= refinement.ratio <= 4.5
-    report = discrete_vs_continuum(ContinuumConfig(n_grid=128, lam=4.0))
+    report = discrete_vs_continuum(128)
     assert report.correlation >= 0.999
+    worst = max(check.error for check in closed_form_checks(128))
+    assert worst <= 1e-8
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
-    print(f"\nPASS: continuum check, refinement ratio = {refinement.ratio:.3f} in [3.5, 4.5], "
-          f"correlation = {report.correlation:.6f} >= 0.999, {elapsed:.1f}s < 5s")
+    print(f"\nPASS: continuum check, correlation = {report.correlation:.6f} >= 0.999, "
+          f"solvers = path-graph closed forms to relative {worst:.1e} <= 1e-8, {elapsed:.1f}s < 5s")
 
 
 def test_qualitative_gap_low_label_degeneracy():

@@ -151,6 +151,21 @@ class TestSolve:
         assert a.read_text() == b.read_text()
         capsys.readouterr()
 
+    def test_no_convergence_exits_four_after_writing(self, tmp_path, capsys):
+        graph = tmp_path / "p30.edges"
+        graph.write_text("".join(f"{i} {i + 1}\n" for i in range(29)))
+        labels = tmp_path / "p30.labels"
+        labels.write_text("0 0\n29 1\n")
+        out = tmp_path / "p.txt"
+        code = main(["solve", "--graph", str(graph), "--labels", str(labels),
+                     "--method", "poisson", "--max-iter", "1", "--out", str(out)])
+        assert code == 4
+        sidecar = json.loads((tmp_path / "p.txt.json").read_text())
+        assert sidecar["converged"] is False and sidecar["iterations"] == 1
+        assert len(out.read_text().splitlines()) == 30
+        err = capsys.readouterr().err
+        assert err.startswith("error: poisson did not converge in 1 block steps (residual ")
+
     def test_ill_posed_exit_three(self, tmp_path, capsys):
         graph = tmp_path / "d.edges"
         graph.write_text("0 1\n2 3\n")
@@ -414,7 +429,7 @@ class TestFlags:
          "--labels-per-class", "1", "--lambda", "0_1"],
         ["solve", "--graph", "g", "--labels", "l", "--method", "laplace", "--out", "o",
          "--tol", "١e-8"],
-        ["verify-pde", "--lambda", "4", "--grid", "1_28"],
+        ["verify-pde", "--grid", "1_28"],
     ])
     def test_non_integer_count_is_usage_error(self, argv, capsys):
         assert main(argv) == 2
@@ -459,92 +474,91 @@ class TestExitCodes:
         (FileNotFoundError, 2), (IllPosedError, 3), (DivergenceError, 4),
     ])
     def test_listed_exception_maps_to_its_code(self, exc, code, monkeypatch, capsys):
-        def fail(cfg):
+        def fail(n):
             raise exc("boom")
 
         monkeypatch.setattr(cli, "discrete_vs_continuum", fail)
-        assert main(["verify-pde", "--lambda", "4", "--grid", "64"]) == code
+        assert main(["verify-pde", "--grid", "64"]) == code
         assert capsys.readouterr().err == "error: boom\n"
 
     @pytest.mark.parametrize("exc", [KeyError, ValueError, RuntimeError])
     def test_unlisted_exception_propagates(self, exc, monkeypatch):
-        def fail(cfg):
+        def fail(n):
             raise exc("boom")
 
         monkeypatch.setattr(cli, "discrete_vs_continuum", fail)
         with pytest.raises(exc):
-            main(["verify-pde", "--lambda", "4", "--grid", "64"])
+            main(["verify-pde", "--grid", "64"])
 
 
 class TestVerifyPde:
-    def test_passes_at_lambda4_grid128(self, capsys):
-        assert main(["verify-pde", "--lambda", "4", "--grid", "128"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS: refinement ratio" in out
-        assert "PASS: sinusoid correlation" in out
+    @pytest.mark.parametrize("grid", ["16", "128", "2201"])
+    def test_seven_verdicts_pass(self, grid, capsys):
+        assert main(["verify-pde", "--grid", grid]) == 0
+        captured = capsys.readouterr()
+        verdicts = [line for line in captured.out.splitlines()
+                    if line.startswith(("PASS", "FAIL"))]
+        assert [v.split(":")[0] for v in verdicts] == ["PASS"] * 7
+        for verdict, method in zip(verdicts, ("laplace", "poisson", "v_laplace", "v_poisson")):
+            assert verdict.startswith(f"PASS: {method} ")
+            assert "= closed form to relative" in verdict and "<= 1e-8" in verdict
+        assert "at 0.5, 0.9, 0.99 lambda_2" in verdicts[3]
+        assert verdicts[3].endswith("warned at 0.9, 0.99, expect 0.9, 0.99")
+        assert "PASS: sinusoid correlation" in verdicts[4]
+        assert "PASS: path-graph shift = 2(n-1)(1-cos(pi/(n-1)))" in verdicts[5]
+        assert "PASS: stability estimate = path-graph shift" in verdicts[6]
+        assert captured.err == ""
 
-    def test_passes_at_lambda1_grid256(self, capsys):
-        assert main(["verify-pde", "--lambda", "1", "--grid", "256"]) == 0
-        capsys.readouterr()
+    @pytest.mark.parametrize("grid", ["8", "15", "2202"])
+    def test_grid_outside_range_is_usage_error(self, grid, capsys):
+        assert main(["verify-pde", "--grid", grid]) == 2
+        assert f"n_grid must be >= 16 and < 2202 and an integer, got {grid}" in capsys.readouterr().err
 
-    def test_grid_below_minimum_is_usage_error(self, capsys):
-        assert main(["verify-pde", "--lambda", "4", "--grid", "8"]) == 2
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("lam,grid", [("0.01", "256"), ("0.1", "512"), ("4", "3000"), ("4", "4096")])
-    def test_grid_past_double_precision_is_usage_error(self, lam, grid, capsys):
-        assert main(["verify-pde", "--lambda", lam, "--grid", grid]) == 2
-        assert "largest n_grid accepted" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("lam,grid", [("1500", "16"), ("2000", "16"), ("5000", "16"),
-                                          ("1e4", "43")])
-    def test_grid_too_coarse_for_lambda_is_usage_error(self, lam, grid, capsys):
-        assert main(["verify-pde", "--lambda", lam, "--grid", grid]) == 2
-        assert "smallest n_grid accepted" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("lam,grid", [("400", "16"), ("1e4", "60")])
-    def test_large_lambda_on_resolving_grid_passes(self, lam, grid, capsys):
-        assert main(["verify-pde", "--lambda", lam, "--grid", grid]) == 0
-        capsys.readouterr()
-
-    def test_nan_lambda_is_usage_error(self, capsys):
-        assert main(["verify-pde", "--lambda", "nan", "--grid", "64"]) == 2
-        assert "finite" in capsys.readouterr().err
-
-    def test_csv_side_output(self, tmp_path, capsys):
-        csv = tmp_path / "resid.csv"
-        assert main(["verify-pde", "--lambda", "4", "--grid", "64", "--csv", str(csv)]) == 0
-        assert csv.read_text().startswith("x,value,residual")
-        capsys.readouterr()
+    @pytest.mark.parametrize("flag,value", [("--lambda", "4"), ("--csv", "r.csv")])
+    def test_removed_flag_is_unknown(self, flag, value, capsys):
+        assert main(["verify-pde", "--grid", "128", flag, value]) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_check_failure_exits_five(self, capsys, monkeypatch):
         from varprop.continuum import PathGraphReport
 
-        def broken(cfg):
-            return PathGraphReport(n_grid=cfg.n_grid, shift=0.1, fitted_lambda=1.0, correlation=0.5)
+        def broken(n):
+            return PathGraphReport(n_grid=n, shift=0.1, fitted_lambda=1.0, correlation=0.5)
 
         monkeypatch.setattr(cli, "discrete_vs_continuum", broken)
-        assert main(["verify-pde", "--lambda", "4", "--grid", "64"]) == 5
+        assert main(["verify-pde", "--grid", "64"]) == 5
         assert "FAIL: sinusoid correlation" in capsys.readouterr().out
 
-    def test_four_verdicts_pass_at_lambda4_grid128(self, capsys):
-        assert main(["verify-pde", "--lambda", "4", "--grid", "128"]) == 0
+    @pytest.mark.parametrize("method,change,failure", [
+        ("laplace", {"error": 2e-8}, "relative 2.0e-08 <= 1e-8"),
+        ("v_poisson", {"warned": (0.99,)}, "warned at 0.99, expect 0.9, 0.99"),
+        ("v_laplace", {"warned": (0.5,)}, "warned at 0.5, expect none"),
+    ])
+    def test_closed_form_failure_exits_five(self, method, change, failure, capsys, monkeypatch):
+        from varprop.continuum import closed_form_checks
+
+        def broken(n):
+            return [replace(c, **change) if c.method == method else c
+                    for c in closed_form_checks(n)]
+
+        monkeypatch.setattr(cli, "closed_form_checks", broken)
+        assert main(["verify-pde", "--grid", "64"]) == 5
         verdicts = [line for line in capsys.readouterr().out.splitlines()
                     if line.startswith(("PASS", "FAIL"))]
-        assert [v.split(":")[0] for v in verdicts] == ["PASS"] * 4
-        assert "PASS: path-graph shift = 2(n-1)(1-cos(pi/(n-1)))" in verdicts[2]
-        assert "PASS: stability estimate = path-graph shift" in verdicts[3]
+        assert [v for v in verdicts if v.startswith("FAIL")] == [
+            next(v for v in verdicts if v.startswith(f"FAIL: {method} "))]
+        assert failure in next(v for v in verdicts if v.startswith("FAIL"))
 
     def test_wrong_shift_exits_five(self, capsys, monkeypatch):
         # the eigenvector still samples cos(pi x): only the shift's scale is off
         from varprop.continuum import discrete_vs_continuum
 
-        def scaled(cfg):
-            report = discrete_vs_continuum(cfg)
+        def scaled(n):
+            report = discrete_vs_continuum(n)
             return replace(report, shift=report.shift * (1 + 1e-6))
 
         monkeypatch.setattr(cli, "discrete_vs_continuum", scaled)
-        assert main(["verify-pde", "--lambda", "4", "--grid", "64"]) == 5
+        assert main(["verify-pde", "--grid", "64"]) == 5
         out = capsys.readouterr().out
         assert "PASS: sinusoid correlation" in out
         assert "FAIL: path-graph shift" in out
@@ -553,25 +567,10 @@ class TestVerifyPde:
     def test_wrong_stability_estimate_exits_five(self, capsys, monkeypatch):
         estimate = cli.estimate_stability_limit
         monkeypatch.setattr(cli, "estimate_stability_limit", lambda g: 1.01 * estimate(g))
-        assert main(["verify-pde", "--lambda", "4", "--grid", "64"]) == 5
+        assert main(["verify-pde", "--grid", "64"]) == 5
         out = capsys.readouterr().out
         assert "PASS: path-graph shift" in out
         assert "FAIL: stability estimate" in out
-
-    def test_refined_grid_past_double_precision_names_largest_grid(self, capsys):
-        # --grid 2202 refines to 4403 points, one past the 4402 resolved at lam = 4
-        assert main(["verify-pde", "--lambda", "4", "--grid", "2202"]) == 2
-        assert capsys.readouterr().err.endswith("the largest n_grid accepted is 2201\n")
-        assert main(["verify-pde", "--lambda", "4", "--grid", "2201"]) == 0
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("lam", ["1e-5", "1e-4", "1.31e-4"])
-    def test_lambda_no_grid_resolves_is_usage_error(self, lam, capsys):
-        # at most 27 points resolve lam = 1e-4, so --grid 16 refined to 31 is too fine
-        assert main(["verify-pde", "--lambda", lam, "--grid", "16"]) == 2
-        err = capsys.readouterr().err
-        assert f"no n_grid resolves lam={float(lam):g}" in err
-        assert "accepted" not in err
 
 
 def run_python(*args):
@@ -596,14 +595,15 @@ class TestEntryPoint:
 
     def test_verify_pde_leaves_scipy_optimize_unloaded(self):
         proc = run_python("-c", "import sys; from varprop.cli import main; "
-                          "code = main(['verify-pde', '--lambda', '4', '--grid', '32']); "
+                          "code = main(['verify-pde', '--grid', '32']); "
                           "print(code, 'scipy.optimize' in sys.modules)")
         assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "0 False"
 
     def test_module_invocation(self):
-        proc = run_module("verify-pde", "--lambda", "4", "--grid", "32")
+        proc = run_module("verify-pde", "--grid", "32")
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+        assert proc.stderr == ""  # the v_poisson near-bound warnings are recorded, not shown
 
     def test_no_subcommand_is_usage_error(self):
         proc = run_module()

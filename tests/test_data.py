@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import varprop
 import varprop.data
 from varprop import (
-    ContinuumConfig,
     Dataset,
     Graph,
     LabelSet,
@@ -16,10 +15,8 @@ from varprop import (
     load_feature_dataset,
     load_graph_dataset,
     sample_label_set,
-    second_difference,
     with_knn_graph,
 )
-from varprop.continuum import write_residual_csv
 from varprop.data import (
     derive_trial_seed,
     read_edgelist,
@@ -262,14 +259,13 @@ def test_public_names_pinned():
     assert varprop.read_edgelist is varprop.data.read_edgelist
     assert varprop.write_edgelist is varprop.data.write_edgelist
     assert sorted(varprop.__all__) == [
-        "ContinuumConfig", "Dataset", "Graph", "LabelSet", "METHODS", "PathGraphReport",
-        "RefinementReport", "ResidualStats", "SolveResult", "SolverConfig", "TrialReport",
-        "accuracy_on_unlabeled", "build_knn_graph", "derive_trial_seed",
-        "discrete_vs_continuum", "emit_table", "estimate_stability_limit", "graph_from_edges",
-        "laplacian_apply", "load_feature_dataset", "load_graph_dataset", "make_cluster_dataset",
-        "objective_value", "ode_residual_check", "predict", "read_edgelist",
-        "residual_refinement_ratio", "run_trials", "sample_label_set", "second_difference",
-        "solve", "variance", "weighted_mean", "with_knn_graph", "write_edgelist",
+        "Dataset", "Graph", "LabelSet", "METHODS", "PathGraphReport", "SolveResult",
+        "SolverConfig", "TrialReport", "accuracy_on_unlabeled", "build_knn_graph",
+        "derive_trial_seed", "discrete_vs_continuum", "emit_table", "estimate_stability_limit",
+        "graph_from_edges", "laplacian_apply", "load_feature_dataset", "load_graph_dataset",
+        "make_cluster_dataset", "objective_value", "predict", "read_edgelist", "run_trials",
+        "sample_label_set", "solve", "variance", "weighted_mean", "with_knn_graph",
+        "write_edgelist",
     ]
 
 
@@ -368,14 +364,6 @@ class TestRoundTrip:
         a, b, c = g17(w)
         assert (tmp_path / "g.edges").read_text() == f"0 1 {a}\n0 2 {b}\n1 2 {c}\n"
 
-        cfg = ContinuumConfig(n_grid=16, lam=1.0)
-        write_residual_csv(cfg, tmp_path / "r.csv")
-        x = np.linspace(0.0, 1.0, 16)
-        v = np.cos(x)
-        r = second_difference(v, x[1] - x[0]) + v[1:-1]
-        lines = (tmp_path / "r.csv").read_text().splitlines(keepends=True)
-        assert lines[:2] == ["x,value,residual\n", ",".join(g17([x[1], v[1], r[0]])) + "\n"]
-        assert len(lines) == 15
 
 
 class TestSampler:
