@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,10 @@ class TestGrid:
     def test_numpy_integer_grid_accepted(self):
         assert discrete_vs_continuum(np.int64(20)).n_grid == 20
 
+    @pytest.mark.parametrize("n_grid", [16, 2201])
+    def test_grid_range_ends_accepted(self, n_grid):
+        assert discrete_vs_continuum(n_grid).n_grid == n_grid
+
 
 @pytest.fixture(scope="module", params=[16, 128, 2201])
 def checks(request):
@@ -40,6 +46,28 @@ class TestClosedForms:
         assert check.fractions == ((0.5, 0.9, 0.99) if weighted else (0.0,))
         # solve's near-bound warning fires for v_poisson at 0.9 lambda_2 and above only
         assert check.warned == ((0.9, 0.99) if method == "v_poisson" else ())
+
+    def test_warnings_recorded_not_shown(self):
+        # v_poisson warns at 0.9 and 0.99 lambda_2, but closed_form_checks keeps it
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            checks = closed_form_checks(16)
+        assert shown == []
+        assert checks[METHODS.index("v_poisson")].warned == (0.9, 0.99)
+
+    @pytest.mark.parametrize("method", ["v_laplace", "v_poisson"])
+    def test_flipped_lambda_misses_closed_form(self, method):
+        # the scores at -lam miss the closed form far past the verdicts' 1e-8 bound
+        n = 128
+        g = path_graph(n)
+        labels = LabelSet(k=2, entries=((0, 0), (n - 1, 1)))
+        errors = []
+        for fraction in (0.5, 0.9, 0.99):
+            lam = fraction * path_graph_shift(n)
+            exact = path_closed_form(method, n, lam)
+            flipped = dense_reference(g, labels, method, -lam)
+            errors.append(np.abs(flipped - exact).max() / np.abs(exact).max())
+        assert max(errors) >= 0.1
 
     @pytest.mark.parametrize("n", [16, 33, 128])
     @pytest.mark.parametrize("method", METHODS)
